@@ -49,9 +49,8 @@ MspCore::MspCore(const CoreParams &p, const Program &program,
         e.ready = true;
         e.value = 0;
     }
-    bankLcs.fill(SctBank::noHotState);
     for (int b = 0; b < numLogRegs; ++b)
-        banks[b].bindHot(&bankGate[b], &bankDirtyWord,
+        banks[b].bindHot(gateTree.leaf(b), &gateDirtyWord, &bankDirtyWord,
                          static_cast<unsigned>(b));
 }
 
@@ -65,8 +64,8 @@ MspCore::flashClear(const DynInst &renaming)
     const std::uint32_t m = stateM;
     for (auto &bk : banks)
         bk.flashClearStateIds(m);
-    // Every mirrored lcsContribution() shifted; refresh them all on the
-    // next scan. (Gates were republished by flashClearStateIds itself.)
+    // Every lcsContribution() shifted; refresh them all on the next
+    // scan. (Gates were republished by flashClearStateIds itself.)
     bankDirtyWord = numLogRegs == 64
                         ? ~std::uint64_t{0}
                         : (std::uint64_t{1} << numLogRegs) - 1;
@@ -192,12 +191,10 @@ MspCore::renameOne(DynInst &d)
         d.ownerBank = curOwnerBank;
         d.ownerIdx = curOwnerSlot;
         if (d.needsExecution()) {
-            if (curOwnerBank < 0) {
+            if (curOwnerBank < 0)
                 ++anchorPending;
-            } else {
-                ++banks[curOwnerBank].entry(curOwnerSlot).pendingOps;
-                banks[curOwnerBank].markLcsDirty();
-            }
+            else
+                banks[curOwnerBank].addPendingOp(curOwnerSlot);
         }
     }
 }
@@ -353,9 +350,9 @@ MspCore::computeRawLcs()
     if (anchorPending > 0)
         m = std::min(m, anchorState);
     // Refresh only the banks whose contribution changed since the last
-    // scan, then take the minimum over the dense mirror. Live StateIds
-    // are far below noHotState, so contribution-less banks drop out of
-    // the minimum without a branch.
+    // scan, then read the tree's root. Live StateIds are far below
+    // noHotState, so contribution-less banks drop out of the minimum
+    // without a branch.
     std::uint64_t dirty = bankDirtyWord;
     bankDirtyWord = 0;
     if (dirty)
@@ -365,11 +362,17 @@ MspCore::computeRawLcs()
         dirty &= dirty - 1;
         ++pathEvents.lcsDirtyBank;
         const auto c = banks[b].lcsContribution();
-        bankLcs[b] = c ? *c : SctBank::noHotState;
+        lcsTree.set(b, c ? *c : SctBank::noHotState);
     }
-    for (int b = 0; b < numLogRegs; ++b)
-        m = std::min(m, bankLcs[b]);
-    return m;
+    return std::min(m, lcsTree.min());
+}
+
+void
+MspCore::foldGates()
+{
+    for (std::uint64_t dirty = gateDirtyWord; dirty; dirty &= dirty - 1)
+        gateTree.fix(std::countr_zero(dirty));
+    gateDirtyWord = 0;
 }
 
 void
@@ -399,15 +402,16 @@ MspCore::doCommit()
     std::uint32_t releaseLimit = lcs.effective();
     if (!window.empty())
         releaseLimit = std::min(releaseLimit, window.front()->stateId);
-    // The gate mirrors each bank's releaseCommitted() early-out (the
-    // successor StateId of the head entry), so the common all-banks-idle
-    // cycle touches only this flat array.
-    for (int b = 0; b < numLogRegs; ++b) {
-        if (bankGate[b] < releaseLimit) {
-            ++pathEvents.sctGateRelease;
-            banks[b].releaseCommitted(releaseLimit);
-        }
-    }
+    // The gate tree's leaves mirror each bank's releaseCommitted()
+    // early-out (the successor StateId of the head entry), so the common
+    // all-banks-idle cycle reads only the root. The gates the releases
+    // republish are folded in at the next cycle's commit, before any
+    // other read of the tree.
+    foldGates();
+    gateTree.forEachBelow(releaseLimit, [&](unsigned b) {
+        ++pathEvents.sctGateRelease;
+        banks[b].releaseCommitted(releaseLimit);
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,15 @@
  * overflow scheme, the LCS commit mechanism, RelIQ use-bit dependence
  * tracking, banked-register-file port arbitration, and precise
  * misprediction/exception recovery by Recovery-StateId broadcast.
+ *
+ * The commit stage keeps the per-cycle LCS work proportional to what
+ * changed. The LCS is the minimum of the banks' SCT contributions, and
+ * the commit-release broadcast only reaches banks whose release gate
+ * (the head's successor StateId) lies below the release limit. Both are
+ * BankMinTree minima over one leaf per bank (the comparator tree of
+ * Sec. 3.2.2): a bank whose contribution was invalidated is rescanned
+ * from its cursor and its leaf re-folded, a bank whose gate moved has
+ * its leaf re-folded, and an idle cycle reads two roots.
  */
 
 #ifndef MSPLIB_CORE_MSP_CORE_HH
@@ -87,15 +96,20 @@ class MspCore : public CoreBase
     std::vector<SctBank> banks;
     LcsUnit lcs;
 
-    // Dense commit-path mirrors of per-bank state (see SctBank::bindHot):
-    // the per-cycle LCS minimum and release-gate scan walk these flat
-    // arrays instead of 64 scattered bank objects. bankLcs entries are
-    // refreshed lazily — bankDirtyWord has one bit per bank whose cached
-    // lcsContribution() was invalidated since the last computeRawLcs().
-    static_assert(numLogRegs <= 64, "bank dirty bits held in one word");
-    std::array<std::uint32_t, numLogRegs> bankLcs{};
-    std::array<std::uint32_t, numLogRegs> bankGate{};
+    /** Fold the gates published since the last fold into gateTree. */
+    void foldGates();
+
+    // Commit-path minima over per-bank state (see SctBank::bindHot).
+    // lcsTree leaves are refreshed lazily: bankDirtyWord has one bit per
+    // bank whose cached lcsContribution() was invalidated since the last
+    // computeRawLcs(). Banks publish their release gates straight into
+    // the gateTree leaves and flag them in gateDirtyWord.
+    static_assert(numLogRegs <= BankMinTree::leaves,
+                  "bank dirty bits held in one word");
+    BankMinTree lcsTree;
+    BankMinTree gateTree;
     std::uint64_t bankDirtyWord = 0;
+    std::uint64_t gateDirtyWord = 0;
 
     std::uint32_t sc = 0;          ///< State Counter (SC)
     std::uint32_t stateM;          ///< M: total physical registers

@@ -1,5 +1,7 @@
 #include "core/sct.hh"
 
+#include <algorithm>
+
 namespace msp {
 
 SctBank::SctBank(int bankId, unsigned capacity) : id(bankId), cap(capacity)
@@ -31,8 +33,12 @@ SctBank::allocate(std::uint32_t stateId)
     e = SctEntry{};
     e.stateId = stateId;
     e.valid = true;
+    // The previous tail loses its use-count exclusion; the scan goes on
+    // from there to the new, not-ready tail at the latest.
+    if (!order.empty())
+        cursor = std::min(cursor, order.size() - 1);
     order.push_back(s);
-    markLcsDirty();   // new not-ready tail; previous tail loses exclusion
+    markLcsDirty();
     publishHotGate();
     return s;
 }
@@ -49,8 +55,18 @@ SctBank::setUse(int slot, int iqSlot)
         return false;
     w |= bit;
     ++e.useCount;
+    if (slot != order.back())
+        cursor = 0;   // a new hold somewhere before the tail
     markLcsDirty();
     return true;
+}
+
+void
+SctBank::addPendingOp(int slot)
+{
+    ++entry(slot).pendingOps;
+    cursor = slot == order.back() ? std::min(cursor, order.size() - 1) : 0;
+    markLcsDirty();
 }
 
 void
@@ -69,15 +85,19 @@ SctBank::clearUse(int slot, int iqSlot)
 std::optional<std::uint32_t>
 SctBank::scanLcsContribution() const
 {
-    const int tail = order.empty() ? -1 : order.back();
-    for (int s : order) {
-        const SctEntry &e = slots[s];
+    const std::size_t tail = order.size() - 1;
+    std::size_t i = cursor;
+    for (; i < order.size(); ++i) {
+        const SctEntry &e = slots[order[i]];
         const bool holding = !e.ready || e.pendingOps > 0 ||
-                             (e.useCount > 0 && s != tail);
+                             (e.useCount > 0 && i != tail);
         if (holding)
-            return e.stateId;
+            break;
     }
-    return std::nullopt;
+    cursor = i;
+    if (i == order.size())
+        return std::nullopt;
+    return slots[order[i]].stateId;
 }
 
 int
@@ -98,6 +118,9 @@ SctBank::releaseCommittedSlow(std::uint32_t lcs)
         order.pop_front();
         ++released;
     }
+    cursor = cursor > static_cast<std::size_t>(released)
+                 ? cursor - released
+                 : 0;
     publishHotGate();
     return released;
 }
@@ -115,6 +138,7 @@ SctBank::releaseTail(int expectedSlot)
     e.valid = false;
     freeSlots.push_back(order.back());
     order.pop_back();
+    cursor = std::min(cursor, order.size());
     markLcsDirty();
     publishHotGate();
 }

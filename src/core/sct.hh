@@ -14,11 +14,25 @@
  * (RenP), commit-release pops at the head, recovery-release pops at the
  * tail. Entry *slots* are stable indices so in-flight instructions can
  * name their operands as (bank, slot) pairs.
+ *
+ * Bank cursor: each bank remembers how far its last LCS scan got (the
+ * oldest entry that still held its state back). Every entry before the
+ * cursor is known not to hold, so a dirty bank's rescan resumes there
+ * instead of walking from the head. Only a new hold on an entry before
+ * the cursor moves it back: allocate (the previous tail loses its
+ * use-count exclusion), addPendingOp, and setUse on a non-tail entry.
+ * Ready bits and cleared uses only release holds, which is why the
+ * core may still set them directly through entry().
+ *
+ * BankMinTree is the software form of the paper's pipelined comparator
+ * tree (Sec. 3.2.2): one leaf per bank, a minimum at the root, and an
+ * update that re-walks only the path above the leaf that changed.
  */
 
 #ifndef MSPLIB_CORE_SCT_HH
 #define MSPLIB_CORE_SCT_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -54,6 +68,69 @@ struct SctEntry
     {
         return ready && useCount == 0 && pendingOps == 0;
     }
+};
+
+/**
+ * Minimum over one 32-bit value per bank (at most 64 banks). Leaves are
+ * written in place (leaf()) and folded in with fix(), or set() does
+ * both; min() is the root. Unused leaves hold the maximum value.
+ */
+class BankMinTree
+{
+  public:
+    static constexpr unsigned leaves = 64;
+
+    BankMinTree() { node.fill(~std::uint32_t{0}); }
+
+    /** Storage of leaf @p i; call fix(@p i) after writing it. */
+    std::uint32_t *leaf(unsigned i) { return &node[leaves + i]; }
+
+    /** Re-derive the minima above leaf @p i. */
+    void
+    fix(unsigned i)
+    {
+        for (unsigned n = (leaves + i) >> 1; n != 0; n >>= 1) {
+            const std::uint32_t m = std::min(node[2 * n], node[2 * n + 1]);
+            if (node[n] == m)
+                break;   // nothing above can change either
+            node[n] = m;
+        }
+    }
+
+    void
+    set(unsigned i, std::uint32_t v)
+    {
+        node[leaves + i] = v;
+        fix(i);
+    }
+
+    std::uint32_t min() const { return node[1]; }
+
+    /** Call @p f(i) for every leaf below @p limit, lowest i first. */
+    template <typename F>
+    void
+    forEachBelow(std::uint32_t limit, F &&f) const
+    {
+        visit(1, limit, f);
+    }
+
+  private:
+    template <typename F>
+    void
+    visit(unsigned n, std::uint32_t limit, F &f) const
+    {
+        if (node[n] >= limit)
+            return;
+        if (n >= leaves) {
+            f(n - leaves);
+            return;
+        }
+        visit(2 * n, limit, f);
+        visit(2 * n + 1, limit, f);
+    }
+
+    /** node[1] is the root; node[leaves + i] is leaf i. */
+    std::array<std::uint32_t, 2 * leaves> node;
 };
 
 /** One logical register's bank of physical registers. */
@@ -113,6 +190,9 @@ class SctBank
      */
     bool setUse(int slot, int iqSlot);
 
+    /** Count one more unexecuted same-state instruction on @p slot. */
+    void addPendingOp(int slot);
+
     /** Clear a use bit (consumer issued, or squashed). */
     void clearUse(int slot, int iqSlot);
 
@@ -133,7 +213,8 @@ class SctBank
      * cycle, but most banks don't change state in most cycles. Every
      * mutation that can move the first holding entry (allocate,
      * use-bit set/clear, pendingOps and ready transitions, releases)
-     * marks the cache dirty; the scan reruns only then.
+     * marks the cache dirty; the scan reruns only then, and resumes at
+     * the bank cursor (see the file comment).
      */
     std::optional<std::uint32_t>
     lcsContribution() const
@@ -147,7 +228,10 @@ class SctBank
 
     /**
      * Invalidate the cached lcsContribution(). Public because the MSP
-     * core mutates ready/pendingOps directly through entry().
+     * core sets ready bits and retires pendingOps directly through
+     * entry(). Such direct mutations may only release holds; adding one
+     * goes through allocate(), setUse() or addPendingOp(), which also
+     * move the bank cursor back.
      */
     void
     markLcsDirty()
@@ -162,22 +246,25 @@ class SctBank
 
     /**
      * Bind this bank's hot commit-path state into core-owned dense
-     * arrays. The commit stage queries all banks every cycle; touching
-     * 64 scattered bank objects per cycle is most of its cost, so the
-     * bank pushes the two scanned values out instead:
+     * state. The commit stage needs all banks every cycle; touching 64
+     * scattered bank objects per cycle is most of its cost, so the bank
+     * pushes the two scanned values out instead:
      *
      *  - @p gateSlot receives the successor StateId that gates
      *    releaseCommitted() (noHotState when fewer than two entries),
-     *    updated whenever the live order changes;
+     *    updated whenever the live order changes, and @p gateDirtyWord
+     *    gets bit @p bitIndex set with it, so the core folds only the
+     *    changed gates into its gate tree;
      *  - @p dirtyWord gets bit @p bitIndex set whenever the cached
      *    lcsContribution() is invalidated, so the core recomputes only
      *    dirty banks (and clears the bits itself).
      */
     void
-    bindHot(std::uint32_t *gateSlot, std::uint64_t *dirtyWord,
-            unsigned bitIndex)
+    bindHot(std::uint32_t *gateSlot, std::uint64_t *gateDirtyWord,
+            std::uint64_t *dirtyWord, unsigned bitIndex)
     {
         hotGate = gateSlot;
+        hotGateDirtyWord = gateDirtyWord;
         hotDirtyWord = dirtyWord;
         hotDirtyMask = std::uint64_t{1} << bitIndex;
         publishHotGate();
@@ -224,6 +311,7 @@ class SctBank
         if (hotGate) {
             *hotGate = order.size() >= 2 ? slots[order[1]].stateId
                                          : noHotState;
+            *hotGateDirtyWord |= hotDirtyMask;
         }
     }
 
@@ -236,8 +324,13 @@ class SctBank
     mutable bool lcsDirty = true;
     mutable std::optional<std::uint32_t> lcsCache;
 
+    /** Index into order of the oldest entry that may hold (entries
+     *  before it do not); order.size() when none does. */
+    mutable std::size_t cursor = 0;
+
     // Core-owned hot commit-path slots (see bindHot).
     std::uint32_t *hotGate = nullptr;
+    std::uint64_t *hotGateDirtyWord = nullptr;
     std::uint64_t *hotDirtyWord = nullptr;
     std::uint64_t hotDirtyMask = 0;
 };

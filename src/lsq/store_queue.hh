@@ -16,6 +16,15 @@
  * whole entries through the cache. Entries drain from the front by
  * advancing a head offset; the lanes are compacted wholesale once the
  * dead prefix outgrows the live region.
+ *
+ * A probe that cannot complete (Unknown or Stall) names the store that
+ * blocked it. Once the cores resolve a store's address and data
+ * together, nothing but that store's resolve() can change the answer:
+ * every store between it and the load is resolved and does not match,
+ * stores only allocate younger than every load in flight, and a squash
+ * that removes the blocker removes the (younger) load too. The issue
+ * stage therefore parks the load on that seq (WindowLanes::park) and
+ * wakes it from the store's resolve instead of re-probing every cycle.
  */
 
 #ifndef MSPLIB_LSQ_STORE_QUEUE_HH
@@ -52,6 +61,13 @@ struct ForwardResult
     Kind kind = Kind::None;
     std::uint64_t data = 0;
     Cycle extraLatency = 0;   ///< L2-region search penalty
+
+    /**
+     * The store that decided the probe: the youngest older store with
+     * an unknown address (Unknown), or the youngest older matching
+     * store (Stall, Forward). invalidSeqNum for None.
+     */
+    SeqNum store = invalidSeqNum;
 };
 
 /** The two-level store queue. */
@@ -103,6 +119,22 @@ class HierStoreQueue
     }
 
     /**
+     * Record only the address of store @p seq; its data arrives with
+     * resolve(). The cores resolve both halves together at issue, so
+     * only this split leaves a matching store's data unknown (a Stall
+     * probe).
+     */
+    void
+    resolveAddress(SeqNum seq, Addr addr)
+    {
+        const std::size_t i = indexOf(seq);
+        msp_assert(i != npos, "resolve of absent store %llu",
+                   static_cast<unsigned long long>(seq));
+        addrLane[i] = addr;
+        flagLane[i] |= kAddrKnown;
+    }
+
+    /**
      * Probe for a load at @p addr with sequence number @p loadSeq.
      *
      * Scans older stores youngest-first. An older store with an unknown
@@ -120,9 +152,11 @@ class HierStoreQueue
         for (std::size_t i = bound; i-- > head;) {
             if (!(flagLane[i] & kAddrKnown)) {
                 r.kind = ForwardResult::Kind::Unknown;
+                r.store = seqLane[i];
                 return r;
             }
             if (addrLane[i] == addr) {
+                r.store = seqLane[i];
                 if (!(flagLane[i] & kDataKnown)) {
                     r.kind = ForwardResult::Kind::Stall;
                     return r;

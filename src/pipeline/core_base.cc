@@ -263,27 +263,52 @@ CoreBase::executeInst(DynInst &d)
 void
 CoreBase::doIssueStage()
 {
-    // Select scans the ready bitvector in age order. The bits are
-    // maintained event-driven (initWakeup at rename, wakeSrc at
-    // writeback); most stalled cycles exit on the anyReady() test
-    // without touching the age list at all.
-    if (!iq.anyReady())
+    // Select walks the age-position ready mask (WindowLanes) oldest
+    // first. The bits are maintained event-driven (initWakeup at
+    // rename, wakeSrc at writeback, wakeParked at store resolve).
+    //
+    // A load blocked by an older store parks on it instead of
+    // re-probing every cycle. The probe a polling scan would have
+    // repeated is still counted: every parked load the scan passes
+    // before it reaches the issue width adds one probe of its parked
+    // kind, so PathEvents::sqProbe (and the coverage features and
+    // benchmark counts built on it) do not depend on parking. Park kind
+    // 0 is an Unknown probe, kind 1 a Stall.
+    constexpr unsigned unknownProbe =
+        static_cast<unsigned>(ForwardResult::Kind::Unknown);
+    constexpr unsigned stallProbe =
+        static_cast<unsigned>(ForwardResult::Kind::Stall);
+    auto countParked = [&](std::size_t from, std::size_t to) {
+        if (!iq.anyParked())
+            return;
+        pathEvents.sqProbe[unknownProbe] += iq.parkedIn(0, from, to);
+        pathEvents.sqProbe[stallProbe] += iq.parkedIn(1, from, to);
+    };
+    if (!iq.anyReady()) {
+        pathEvents.sqProbe[unknownProbe] += iq.parkedCount(0);
+        pathEvents.sqProbe[stallProbe] += iq.parkedCount(1);
         return;
+    }
     unsigned issuedThisCycle = 0;
-    const auto &order = iq.ageOrder();
-    for (const std::int32_t slot : order) {
+    std::size_t counted = 0;   // parked loads below this position counted
+    for (int pos = iq.nextReady(0); pos >= 0; pos = iq.nextReady(pos + 1)) {
         if (issuedThisCycle >= params.issueWidth)
             break;
-        if (slot < 0 || !iq.ready(slot))
-            continue;
+        countParked(counted, pos);
+        counted = pos + 1;
+        const int slot = iq.slotAt(pos);
         DynInst &d = *iq.at(slot);
         msp_assert(!d.squashed && !d.issued, "stale IQ entry");
-        msp_assert(operandsReady(d),
-                   "IQ slot %d ready bit set with operands not ready",
-                   slot);
-
-        readOperands(d);
-        executeInst(d);
+        if (!d.evaluated) {
+            // Operands cannot change while the ready bit is set, so an
+            // op denied a port or an FU keeps its first evaluation.
+            msp_assert(operandsReady(d),
+                       "IQ slot %d ready bit set with operands not ready",
+                       slot);
+            readOperands(d);
+            executeInst(d);
+            d.evaluated = true;
+        }
 
         const OpInfo &oi = d.info();
         Cycle latency = oi.latency;
@@ -292,7 +317,10 @@ CoreBase::doIssueStage()
             ++pathEvents.sqProbe[static_cast<unsigned>(fw.kind)];
             if (fw.kind == ForwardResult::Kind::Unknown ||
                 fw.kind == ForwardResult::Kind::Stall) {
-                continue;   // retry when the blocking store resolves
+                // Retry when the blocking store resolves.
+                iq.park(slot, fw.store,
+                        fw.kind == ForwardResult::Kind::Stall ? 1 : 0);
+                continue;
             }
             if (!issuePortsAvailable(d) || !fuPool.tryAcquire(FuClass::Mem))
                 continue;
@@ -312,6 +340,9 @@ CoreBase::doIssueStage()
             }
             if (oi.isStore) {
                 sq.resolve(d.seq, d.effAddr, d.storeData);
+                // Waiters are younger, so this scan still reaches them.
+                if (iq.anyParked())
+                    iq.wakeParked(d.seq);
                 latency = 1;
             }
         }
@@ -323,6 +354,8 @@ CoreBase::doIssueStage()
         inExec.push_back(&d);
         ++issuedThisCycle;
     }
+    if (issuedThisCycle < params.issueWidth)
+        countParked(counted, iq.ageEnd());
 }
 
 // ---------------------------------------------------------------------------
@@ -605,6 +638,19 @@ CoreBase::dumpDeadlock() const
         if (++shown >= 5)
             break;
     }
+    // A load parked on a store that never wakes it (a lost wakeup)
+    // deadlocks exactly like this.
+    for (const DynInst *d : window) {
+        if (!d->inIq || iq.parkedOn(d->iqSlot) == invalidSeqNum)
+            continue;
+        std::fprintf(stderr,
+                     "  parked load seq=%llu pc=%llu waits on store "
+                     "seq=%llu\n",
+                     static_cast<unsigned long long>(d->seq),
+                     static_cast<unsigned long long>(d->pc),
+                     static_cast<unsigned long long>(
+                         iq.parkedOn(d->iqSlot)));
+    }
     if (!window.empty()) {
         const DynInst &h = *window.front();
         std::fprintf(stderr,
@@ -669,7 +715,8 @@ CoreBase::run(std::uint64_t maxCommits, std::uint64_t maxCycles)
 {
     if (params.warmupInstrs != 0 && !warmupApplied)
         applyWarmup();
-    lastCommitCycle = 0;
+    // A resumed run measures commit progress from where it resumes.
+    lastCommitCycle = now;
     while (!haltCommitted && committedCount < maxCommits &&
            now < maxCycles) {
         stepCycle();

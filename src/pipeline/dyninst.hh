@@ -49,7 +49,6 @@ struct DynInst
     PhysReg dstPhys = noReg;
     PhysReg oldDstPhys = noReg;     ///< superseded mapping (baseline/CPR)
     int iqSlot = -1;
-    int iqOrderIdx = -1;            ///< position in the IQ age list
 
     // MSP state management.
     std::uint32_t stateId = 0;
@@ -63,6 +62,7 @@ struct DynInst
 
     // ---- status -------------------------------------------------------------
     bool inIq = false;
+    bool evaluated = false;     ///< operands read and executed once
     bool issued = false;
     bool executed = false;
     bool squashed = false;

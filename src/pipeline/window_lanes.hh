@@ -10,12 +10,12 @@
  * which stays in the DynInstPool arena) into dense parallel lanes
  * indexed by IQ slot id:
  *
- *   - a ready bitvector (one bit per slot) the select loop scans,
  *   - a pending-source counter driving event-driven wakeup,
  *   - a generation counter guarding against stale wakeups on slot reuse,
  *   - seq / source-tag / FU-class lanes for asserts and diagnostics,
  *   - the age-ordered slot list (sorted by construction, holes
- *     compacted lazily) that fixes select priority.
+ *     compacted lazily) that fixes select priority, and each slot's
+ *     position in it.
  *
  * Readiness becomes *event-driven*: a slot's pending count is set once
  * at insert (counting distinct not-yet-ready source tags) and
@@ -28,6 +28,22 @@
  * only reallocated after their last IQ consumer issued or squashed), so
  * ready can never regress between insert and issue.
  *
+ * Age-position select: the ready bits are indexed by *position in the
+ * age list*, not by slot, so select finds the oldest ready entry with
+ * one count-trailing-zeros per 64 positions (nextReady) instead of
+ * walking every age-list entry. Compaction renumbers the positions and
+ * moves the bits with them.
+ *
+ * Parking: a ready load whose store-queue probe is blocked (Unknown or
+ * Stall) parks on the blocking store's seq. Its ready bit moves to one
+ * of two parked masks (one per probe kind, also age-position indexed)
+ * and stays there until wakeParked() names that store — the store
+ * resolving at issue, possibly earlier in the same select scan, since
+ * the blocker is always older than the load. remove() clears a parked
+ * slot like any other, so a squashed load leaves nothing behind. The
+ * parked masks let the issue stage count, with one popcount per
+ * position range, the probes a polling scan would have repeated.
+ *
  * Slot ids are stable while an instruction waits, which is what lets
  * the MSP RelIQ use-bit rows double as the wakeup CAM: the bits the
  * paper already stores per (physical register, IQ slot) are exactly
@@ -37,6 +53,9 @@
 #ifndef MSPLIB_PIPELINE_WINDOW_LANES_HH
 #define MSPLIB_PIPELINE_WINDOW_LANES_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +68,9 @@ namespace msp {
 class WindowLanes
 {
   public:
+    /** Parked-load kinds, counted apart (the caller's probe outcomes). */
+    static constexpr unsigned parkKinds = 2;
+
     explicit WindowLanes(unsigned capacity)
         : cap(capacity), orderLimit(2 * capacity)
     {
@@ -59,11 +81,16 @@ class WindowLanes
         fuLane.assign(capacity, 0);
         pendingLane.assign(capacity, 0);
         genLane.assign(capacity, 0);
-        readyWords.assign((capacity + 63) / 64, 0);
+        posLane.assign(capacity, -1);
+        parkLane.assign(capacity, invalidSeqNum);
+        const std::size_t words = (orderLimit + 63) / 64;
+        readyWords.assign(words, 0);
+        for (auto &w : parkedWords)
+            w.assign(words, 0);
         freeSlots.reserve(capacity);
         for (unsigned i = 0; i < capacity; ++i)
             freeSlots.push_back(capacity - 1 - i);
-        order.reserve(orderLimit + 1);
+        order.reserve(orderLimit);
     }
 
     /** Remaining capacity. */
@@ -74,7 +101,7 @@ class WindowLanes
     /** Total slots. */
     unsigned capacity() const { return cap; }
 
-    /** Any slot ready? (cheap per-cycle early-out for the select loop) */
+    /** Any slot ready for select? Parked loads are not. */
     bool anyReady() const { return readyCount != 0; }
 
     /** Insert @p d; assigns and returns its slot id. Pending sources
@@ -98,9 +125,8 @@ class WindowLanes
                    "IQ insert out of age order");
         if (order.size() >= orderLimit)
             compact();
-        d->iqOrderIdx = static_cast<int>(order.size());
+        posLane[slot] = static_cast<std::int32_t>(order.size());
         order.push_back(slot);
-        ++liveCount;
         return slot;
     }
 
@@ -151,10 +177,11 @@ class WindowLanes
     /** Generation of the current occupancy (captured by subscribers). */
     std::uint32_t generation(int slot) const { return genLane[slot]; }
 
+    /** Ready for select (operands ready and not parked). */
     bool
     ready(int slot) const
     {
-        return readyWords[slot >> 6] >> (slot & 63) & 1;
+        return inst[slot] != nullptr && testBit(readyWords, posLane[slot]);
     }
 
     /** Pending distinct unready sources (tests/diagnostics). */
@@ -174,52 +201,196 @@ class WindowLanes
         msp_assert(d->inIq && d->iqSlot >= 0, "IQ remove of absent inst");
         const int slot = d->iqSlot;
         msp_assert(inst[slot] == d, "IQ slot mismatch");
-        msp_assert(d->iqOrderIdx >= 0 && order[d->iqOrderIdx] == slot,
-                   "IQ age-list mismatch");
-        if (ready(slot)) {
-            readyWords[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+        const std::int32_t pos = posLane[slot];
+        msp_assert(pos >= 0 && order[pos] == slot, "IQ age-list mismatch");
+        if (testBit(readyWords, pos)) {
+            clearBit(readyWords, pos);
             --readyCount;
         }
+        if (parkLane[slot] != invalidSeqNum)
+            unpark(pos);
         inst[slot] = nullptr;
         seqLane[slot] = invalidSeqNum;
         src1Lane[slot] = noReg;
         src2Lane[slot] = noReg;
         pendingLane[slot] = 0;
+        posLane[slot] = -1;
         ++genLane[slot];   // invalidate outstanding subscriptions
         freeSlots.push_back(slot);
-        order[d->iqOrderIdx] = -1;   // hole; compacted lazily
-        --liveCount;
+        order[pos] = -1;   // hole; compacted lazily
         d->inIq = false;
         d->iqSlot = -1;
-        d->iqOrderIdx = -1;
     }
 
     /**
-     * Age-ordered slot list for the select scan: oldest first, holes
-     * are -1. Bounded at twice the capacity by lazy compaction.
+     * One past the youngest age position in use. Positions run oldest
+     * first, and lazy compaction bounds them at twice the capacity.
      */
-    const std::vector<std::int32_t> &ageOrder() const { return order; }
+    std::size_t ageEnd() const { return order.size(); }
+
+    /** Slot at age position @p pos (-1 for a hole). */
+    int slotAt(std::size_t pos) const { return order[pos]; }
+
+    /**
+     * Age position of the oldest ready slot at or after @p from; -1 when
+     * there is none. Reads the live bits, so slots woken while a scan
+     * is under way are found when the scan reaches them.
+     */
+    int
+    nextReady(std::size_t from) const
+    {
+        std::size_t w = from >> 6;
+        if (w >= readyWords.size())
+            return -1;
+        std::uint64_t bits =
+            readyWords[w] & (~std::uint64_t{0} << (from & 63));
+        while (bits == 0) {
+            if (++w >= readyWords.size())
+                return -1;
+            bits = readyWords[w];
+        }
+        return static_cast<int>(w * 64 + std::countr_zero(bits));
+    }
+
+    /**
+     * Park ready slot @p slot on store @p store: it leaves select until
+     * wakeParked(@p store). @p kind (< parkKinds) is the caller's
+     * outcome class, counted by parkedIn()/parkedCount().
+     */
+    void
+    park(int slot, SeqNum store, unsigned kind)
+    {
+        msp_assert(ready(slot), "parking IQ slot %d that is not ready",
+                   slot);
+        msp_assert(store != invalidSeqNum, "parking on no store");
+        const std::int32_t pos = posLane[slot];
+        clearBit(readyWords, pos);
+        --readyCount;
+        setBit(parkedWords[kind], pos);
+        ++parkedCounts[kind];
+        parkLane[slot] = store;
+    }
+
+    /** Return every slot parked on @p store to select. */
+    void
+    wakeParked(SeqNum store)
+    {
+        for (auto &words : parkedWords) {
+            for (std::size_t w = 0; w < words.size(); ++w) {
+                std::uint64_t bits = words[w];
+                while (bits) {
+                    const std::size_t pos =
+                        w * 64 + std::countr_zero(bits);
+                    bits &= bits - 1;
+                    const int slot = order[pos];
+                    if (parkLane[slot] != store)
+                        continue;
+                    unpark(pos);
+                    setBit(readyWords, pos);
+                    ++readyCount;
+                }
+            }
+        }
+    }
+
+    /** Slots parked as @p kind at age positions [@p from, @p to). */
+    unsigned
+    parkedIn(unsigned kind, std::size_t from, std::size_t to) const
+    {
+        const auto &words = parkedWords[kind];
+        unsigned n = 0;
+        while (from < to) {
+            const std::size_t w = from >> 6;
+            const unsigned lo = from & 63;
+            const std::size_t span = std::min<std::size_t>(64 - lo, to - from);
+            std::uint64_t bits = words[w] >> lo;
+            if (span < 64)
+                bits &= (std::uint64_t{1} << span) - 1;
+            n += std::popcount(bits);
+            from += span;
+        }
+        return n;
+    }
+
+    /** Slots parked as @p kind. */
+    unsigned parkedCount(unsigned kind) const { return parkedCounts[kind]; }
+
+    /** Any slot parked? */
+    bool
+    anyParked() const
+    {
+        return (parkedCounts[0] | parkedCounts[1]) != 0;
+    }
+
+    /** Store @p slot is parked on; invalidSeqNum when not parked. */
+    SeqNum parkedOn(int slot) const { return parkLane[slot]; }
 
   private:
+    static bool
+    testBit(const std::vector<std::uint64_t> &w, std::size_t pos)
+    {
+        return w[pos >> 6] >> (pos & 63) & 1;
+    }
+
+    static void
+    setBit(std::vector<std::uint64_t> &w, std::size_t pos)
+    {
+        w[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    }
+
+    static void
+    clearBit(std::vector<std::uint64_t> &w, std::size_t pos)
+    {
+        w[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+
     void
     markReady(int slot)
     {
-        std::uint64_t &w = readyWords[slot >> 6];
-        const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
-        msp_assert(!(w & bit), "slot %d marked ready twice", slot);
-        w |= bit;
+        msp_assert(!testBit(readyWords, posLane[slot]),
+                   "slot %d marked ready twice", slot);
+        setBit(readyWords, posLane[slot]);
         ++readyCount;
+    }
+
+    /** Clear the parked state at age position @p pos. */
+    void
+    unpark(std::size_t pos)
+    {
+        for (unsigned k = 0; k < parkKinds; ++k) {
+            if (testBit(parkedWords[k], pos)) {
+                clearBit(parkedWords[k], pos);
+                --parkedCounts[k];
+            }
+        }
+        parkLane[order[pos]] = invalidSeqNum;
     }
 
     void
     compact()
     {
+        // Positions only move down (out <= i), and every position
+        // below i was read before it is written, so the bits move in
+        // place.
+        auto move = [](std::vector<std::uint64_t> &w, std::size_t from,
+                       std::size_t to) {
+            if (testBit(w, from)) {
+                clearBit(w, from);
+                setBit(w, to);
+            }
+        };
         std::size_t out = 0;
         for (std::size_t i = 0; i < order.size(); ++i) {
-            if (order[i] < 0)
+            const std::int32_t slot = order[i];
+            if (slot < 0)
                 continue;
-            order[out] = order[i];
-            inst[order[out]]->iqOrderIdx = static_cast<int>(out);
+            if (out != i) {
+                order[out] = slot;
+                move(readyWords, i, out);
+                for (auto &w : parkedWords)
+                    move(w, i, out);
+            }
+            posLane[slot] = static_cast<std::int32_t>(out);
             ++out;
         }
         order.resize(out);
@@ -236,9 +407,14 @@ class WindowLanes
     std::vector<std::uint8_t> fuLane;
     std::vector<std::uint8_t> pendingLane;
     std::vector<std::uint32_t> genLane;
+    std::vector<std::int32_t> posLane;   ///< age position; -1 when free
+    std::vector<SeqNum> parkLane;        ///< blocking store when parked
+
+    // Masks indexed by age position.
     std::vector<std::uint64_t> readyWords;
+    std::array<std::vector<std::uint64_t>, parkKinds> parkedWords;
     unsigned readyCount = 0;
-    unsigned liveCount = 0;
+    std::array<unsigned, parkKinds> parkedCounts{};
 
     std::vector<unsigned> freeSlots;
 

@@ -2,7 +2,7 @@
  * @file
  * MSP core tests: the paper's Fig. 1 / Fig. 2 worked example executed
  * on the real core, precise recovery, LCS behaviour, StateId overflow
- * (Sec. 3.6), and the LcsUnit delay line.
+ * (Sec. 3.6), the LcsUnit delay line, and runs resumed in bursts.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "sim/machine.hh"
 #include "sim/presets.hh"
 #include "workload/micro.hh"
+#include "workload/registry.hh"
 
 namespace msp {
 namespace {
@@ -213,6 +214,25 @@ TEST(LcsUnit, FlashClearShiftsLatchedValues)
     u.advance(700);
     u.flashClear(512);
     EXPECT_EQ(u.advance(300), 88u);   // 600 - 512
+}
+
+TEST(MspCore, RunsResumedPastAMillionCyclesKeepTheirCommitProgress)
+{
+    // The no-progress check must measure from where a resumed run
+    // starts: a burst that begins past cycle 1M on a cycle without a
+    // commit used to look like a million commit-free cycles and panic.
+    Machine m(nspConfig(16, PredictorKind::Gshare), workload::build("mcf"));
+    const std::uint64_t noCommitLimit = ~std::uint64_t{0};
+    Cycle stop = 1000050;
+    m.run(noCommitLimit, stop);
+    ASSERT_EQ(m.core().cycle(), stop) << "mcf halted before 1M cycles";
+    const std::uint64_t committed = m.core().committed();
+    for (int burst = 0; burst < 200; ++burst) {
+        stop += 5;
+        m.run(noCommitLimit, stop);
+        ASSERT_EQ(m.core().cycle(), stop);
+    }
+    EXPECT_GT(m.core().committed(), committed);
 }
 
 } // namespace

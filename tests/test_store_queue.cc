@@ -41,6 +41,49 @@ TEST(StoreQueue, UnknownOlderAddressBlocksLoads)
     EXPECT_EQ(r.kind, ForwardResult::Kind::Unknown);
 }
 
+TEST(StoreQueue, BlockedProbesNameTheStoreThatBlocked)
+{
+    // The issue stage parks a blocked load on the store a probe names,
+    // so the name must be the one store whose resolve can unblock it.
+    HierStoreQueue sq(4, 8, false);
+    for (SeqNum s = 1; s <= 4; ++s)
+        sq.allocate(s);
+    sq.resolve(4, 0x200, 44);
+
+    // Unknown: the youngest older store with an unknown address.
+    ForwardResult r = sq.probe(5, 0x100);
+    EXPECT_EQ(r.kind, ForwardResult::Kind::Unknown);
+    EXPECT_EQ(r.store, 3u);
+    r = sq.probe(3, 0x100);   // stores 1 and 2 are older than seq 3
+    EXPECT_EQ(r.kind, ForwardResult::Kind::Unknown);
+    EXPECT_EQ(r.store, 2u);
+
+    // Stall: the youngest older matching store, data still unknown.
+    sq.resolveAddress(3, 0x100);
+    r = sq.probe(5, 0x100);
+    EXPECT_EQ(r.kind, ForwardResult::Kind::Stall);
+    EXPECT_EQ(r.store, 3u);
+
+    // Its data arriving turns the stall into a forward from it.
+    sq.resolve(3, 0x100, 33);
+    r = sq.probe(5, 0x100);
+    EXPECT_EQ(r.kind, ForwardResult::Kind::Forward);
+    EXPECT_EQ(r.store, 3u);
+    EXPECT_EQ(r.data, 33u);
+
+    // A different address walks on to the next unresolved store.
+    r = sq.probe(5, 0x300);
+    EXPECT_EQ(r.kind, ForwardResult::Kind::Unknown);
+    EXPECT_EQ(r.store, 2u);
+
+    // None names no store.
+    sq.resolve(1, 0x400, 11);
+    sq.resolve(2, 0x500, 22);
+    r = sq.probe(5, 0x300);
+    EXPECT_EQ(r.kind, ForwardResult::Kind::None);
+    EXPECT_EQ(r.store, invalidSeqNum);
+}
+
 TEST(StoreQueue, L2RegionForwardCostsExtraLatency)
 {
     HierStoreQueue sq(2, 8, false, 4);

@@ -2,14 +2,17 @@
  * @file
  * SoA window (WindowLanes) tests: lane/age-list/ready-bit equivalence
  * against a naive DynInst-vector model under randomized insert, wakeup,
- * issue (oldest-ready removal) and squash (youngest-first removal);
- * generation-guarded wakeups across slot reuse; RegWaiters semantics;
- * and the ladder-wide timing pin that anchors the refactor to the
- * pre-SoA cycle counts.
+ * park/unpark on blocking stores, issue (oldest-ready removal) and
+ * squash (youngest-first removal) across age-list compactions, checking
+ * the select scan's next ready position and the parked counts of every
+ * age range; generation-guarded wakeups across slot reuse; RegWaiters
+ * semantics; and the ladder-wide timing pin that anchors the refactor
+ * to the pre-SoA cycle counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <random>
@@ -35,6 +38,8 @@ struct NaiveEntry
     unsigned char fu;
     unsigned pending;
     bool ready;
+    SeqNum parkedOn = invalidSeqNum;   ///< blocking store when parked
+    unsigned parkKind = 0;
 };
 
 /** Assert the SoA lanes agree with the naive model, field by field. */
@@ -42,16 +47,22 @@ void
 expectEquiv(const WindowLanes &iq, const std::vector<NaiveEntry> &model)
 {
     ASSERT_EQ(iq.capacity() - iq.freeCount(), model.size());
-    std::vector<int> live;
-    for (const std::int32_t s : iq.ageOrder())
-        if (s >= 0)
-            live.push_back(s);
-    ASSERT_EQ(live.size(), model.size());
+    // The model is the age list without its holes: map every age
+    // position to its model entry (-1 for a hole).
+    std::vector<int> entryAt;
+    std::size_t live = 0;
+    for (std::size_t pos = 0; pos < iq.ageEnd(); ++pos)
+        entryAt.push_back(iq.slotAt(pos) >= 0 ? static_cast<int>(live++)
+                                              : -1);
+    ASSERT_EQ(live, model.size());
 
     bool anyReady = false;
-    for (std::size_t i = 0; i < model.size(); ++i) {
-        const int s = live[i];
-        const NaiveEntry &e = model[i];
+    std::array<unsigned, WindowLanes::parkKinds> parked{};
+    for (std::size_t pos = 0; pos < entryAt.size(); ++pos) {
+        if (entryAt[pos] < 0)
+            continue;
+        const int s = iq.slotAt(pos);
+        const NaiveEntry &e = model[entryAt[pos]];
         ASSERT_EQ(iq.at(s), e.d) << "slot " << s;
         EXPECT_EQ(iq.seqOf(s), e.seq);
         EXPECT_EQ(iq.src1Of(s), e.src1);
@@ -59,10 +70,43 @@ expectEquiv(const WindowLanes &iq, const std::vector<NaiveEntry> &model)
         EXPECT_EQ(iq.fuOf(s), e.fu);
         EXPECT_EQ(iq.pendingOf(s), e.pending);
         EXPECT_EQ(iq.ready(s), e.ready);
+        EXPECT_EQ(iq.parkedOn(s), e.parkedOn);
         EXPECT_EQ(e.d->iqSlot, s);
         anyReady |= e.ready;
+        if (e.parkedOn != invalidSeqNum)
+            ++parked[e.parkKind];
     }
     EXPECT_EQ(iq.anyReady(), anyReady);
+    EXPECT_EQ(iq.anyParked(), parked[0] + parked[1] != 0);
+
+    // The select scan: the next ready position from every start.
+    const std::size_t end = entryAt.size();
+    int next = -1;
+    for (std::size_t from = end + 1; from-- > 0;) {
+        if (from < end && entryAt[from] >= 0 && model[entryAt[from]].ready)
+            next = static_cast<int>(from);
+        EXPECT_EQ(iq.nextReady(from), next) << "from position " << from;
+    }
+
+    // Parked counts over every age range, per kind.
+    for (unsigned k = 0; k < WindowLanes::parkKinds; ++k) {
+        EXPECT_EQ(iq.parkedCount(k), parked[k]);
+        std::vector<unsigned> prefix(end + 1, 0);
+        for (std::size_t pos = 0; pos < end; ++pos) {
+            const bool hit = entryAt[pos] >= 0 &&
+                             model[entryAt[pos]].parkedOn != invalidSeqNum &&
+                             model[entryAt[pos]].parkKind == k;
+            prefix[pos + 1] = prefix[pos] + (hit ? 1 : 0);
+        }
+        for (std::size_t from = 0; from <= end; ++from) {
+            for (std::size_t to = from; to <= end; ++to) {
+                ASSERT_EQ(iq.parkedIn(k, from, to),
+                          prefix[to] - prefix[from])
+                    << "kind " << k << " range [" << from << ", " << to
+                    << ")";
+            }
+        }
+    }
 }
 
 TEST(WindowLanes, RandomOpsMatchTheNaiveModel)
@@ -89,12 +133,42 @@ TEST(WindowLanes, RandomOpsMatchTheNaiveModel)
             NaiveEntry{&d, d.seq, s1, s2, fu, pending, pending == 0});
     };
 
+    // Loads park on one of a few store seqs, so a wake often frees
+    // several at once.
+    constexpr SeqNum storeSeqs = 5;
+    unsigned compactions = 0;
     for (int op = 0; op < 20000; ++op) {
         const unsigned pick = rng() % 100;
         if (pick < 40) {
-            if (!iq.full())
+            if (!iq.full()) {
+                const std::size_t before = iq.ageEnd();
                 insertOne();
-        } else if (pick < 65) {
+                compactions += iq.ageEnd() <= before;
+            }
+        } else if (pick < 50) {
+            // A ready load's probe blocks: park it on a store.
+            std::vector<std::size_t> ready;
+            for (std::size_t i = 0; i < model.size(); ++i)
+                if (model[i].ready)
+                    ready.push_back(i);
+            if (!ready.empty()) {
+                NaiveEntry &e = model[ready[rng() % ready.size()]];
+                e.parkedOn = 1 + rng() % storeSeqs;
+                e.parkKind = rng() % WindowLanes::parkKinds;
+                e.ready = false;
+                iq.park(e.d->iqSlot, e.parkedOn, e.parkKind);
+            }
+        } else if (pick < 58) {
+            // A store resolves: every load parked on it is ready again.
+            const SeqNum store = 1 + rng() % storeSeqs;
+            iq.wakeParked(store);
+            for (NaiveEntry &e : model) {
+                if (e.parkedOn == store) {
+                    e.parkedOn = invalidSeqNum;
+                    e.ready = true;
+                }
+            }
+        } else if (pick < 70) {
             // Producer writeback: wake one pending entry.
             std::vector<std::size_t> waiting;
             for (std::size_t i = 0; i < model.size(); ++i)
@@ -107,17 +181,22 @@ TEST(WindowLanes, RandomOpsMatchTheNaiveModel)
                     e.ready = true;
             }
         } else if (pick < 90) {
-            // Issue: the oldest ready entry leaves the queue.
+            // Issue: the oldest ready entry leaves the queue; select
+            // finds it first.
             for (std::size_t i = 0; i < model.size(); ++i) {
                 if (!model[i].ready)
                     continue;
+                const int pos = iq.nextReady(0);
+                ASSERT_GE(pos, 0);
+                EXPECT_EQ(iq.at(iq.slotAt(pos)), model[i].d);
                 iq.remove(model[i].d);
                 model.erase(model.begin() +
                             static_cast<std::ptrdiff_t>(i));
                 break;
             }
         } else {
-            // Squash: youngest k entries leave, youngest first.
+            // Squash: youngest k entries leave, youngest first, parked
+            // loads included.
             std::size_t k = model.empty() ? 0 : rng() % model.size();
             while (k-- > 0 && !model.empty()) {
                 iq.remove(model.back().d);
@@ -128,6 +207,7 @@ TEST(WindowLanes, RandomOpsMatchTheNaiveModel)
             expectEquiv(iq, model);
     }
     expectEquiv(iq, model);
+    EXPECT_GT(compactions, 100u) << "the age list never compacted";
 }
 
 TEST(WindowLanes, StaleGenerationWakeupsAreIgnoredAcrossSlotReuse)
