@@ -12,8 +12,9 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
 #include "common/table.hh"
+#include "driver/campaign.hh"
+#include "sim/machine.hh"
 #include "sim/presets.hh"
 #include "workload/kernels.hh"
 
@@ -23,7 +24,7 @@ main()
     using namespace msp;
     std::printf("Reproduction of Table II (modified kernels, TAGE). "
                 "Budget: %llu insts/run.\n\n",
-                static_cast<unsigned long long>(bench::instBudget()));
+                static_cast<unsigned long long>(driver::defaultInstBudget));
 
     const char *benchKeys[] = {"bzip2", "twolf", "swim", "mgrid",
                                "equake"};
@@ -50,7 +51,8 @@ main()
                 modified ? "modified" : "original",
             };
             for (const auto &cfg : cfgs) {
-                RunResult r = bench::runOne(cfg, prog);
+                Machine m(cfg, prog);
+                const RunResult r = m.run(driver::defaultInstBudget);
                 row.push_back(Table::num(r.ipc(), 2));
             }
             t.row(row);

@@ -1,48 +1,19 @@
 #include "driver/bench.hh"
 
-#include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #ifdef __linux__
 #include <sys/utsname.h>
 #endif
 
-#include "common/json.hh"
 #include "common/logging.hh"
-#include "common/parse.hh"
-#include "sim/presets.hh"
-#include "workload/spec.hh"
 
 namespace msp {
 namespace driver {
 
 namespace {
-
-/** The Table I ladder with both reference machines — the default and
- *  the set the committed BENCH_throughput.json baseline carries. */
-const std::vector<std::string> &
-defaultBenchConfigs()
-{
-    static const std::vector<std::string> v = {
-        "baseline", "cpr", "ideal", "4sp", "8sp", "16sp",
-    };
-    return v;
-}
-
-/** Two int + two fp benchmarks: exercises every FU class and both
- *  memory behaviours (strided and pointer-chasing). */
-const std::vector<std::string> &
-defaultBenchWorkloads()
-{
-    static const std::vector<std::string> v = {
-        "gzip", "gcc", "swim", "mcf",
-    };
-    return v;
-}
 
 /** First "key: value" line of /proc/cpuinfo matching @p key. */
 std::string
@@ -73,78 +44,7 @@ cpuinfoField(const char *key)
     return found;
 }
 
-/** Doubles of a [1.0, 2.5, ...] array. @throws JsonError on garbage. */
-std::vector<double>
-numberArray(const std::string &obj, const std::string &key)
-{
-    std::vector<double> out;
-    const std::size_t pos = json::valuePos(obj, key);
-    if (pos == std::string::npos || obj[pos] != '[')
-        return out;
-    const std::string arr = json::balancedSlice(obj, pos);
-    std::size_t start = 1;  // past '['
-    while (start < arr.size()) {
-        std::size_t end = start;
-        while (end < arr.size() && arr[end] != ',' && arr[end] != ']')
-            ++end;
-        std::string tok = arr.substr(start, end - start);
-        // Trim whitespace.
-        std::size_t b = 0, e = tok.size();
-        while (b < e && std::isspace(static_cast<unsigned char>(tok[b])))
-            ++b;
-        while (e > b && std::isspace(static_cast<unsigned char>(tok[e - 1])))
-            --e;
-        tok = tok.substr(b, e - b);
-        if (!tok.empty()) {
-            char *stop = nullptr;
-            const double v = std::strtod(tok.c_str(), &stop);
-            if (stop != tok.c_str() + tok.size()) {
-                throw json::JsonError(csprintf(
-                    "malformed number '%s' in \"%s\" array", tok.c_str(),
-                    key.c_str()));
-            }
-            out.push_back(v);
-        }
-        if (end >= arr.size() || arr[end] == ']')
-            break;
-        start = end + 1;
-    }
-    return out;
-}
-
-std::string
-numToJson(double v)
-{
-    // Enough digits to round-trip a double's integer and ratio uses
-    // here; trailing zeros are harmless in a report.
-    return csprintf("%.6f", v);
-}
-
 } // namespace
-
-double
-BenchConfigResult::bestWallSec() const
-{
-    double best = 0.0;
-    for (double w : wallSec)
-        if (best == 0.0 || w < best)
-            best = w;
-    return best;
-}
-
-double
-BenchConfigResult::minstrPerSec() const
-{
-    const double w = bestWallSec();
-    return w <= 0.0 ? 0.0 : static_cast<double>(committed) / w / 1e6;
-}
-
-double
-BenchConfigResult::mcyclesPerSec() const
-{
-    const double w = bestWallSec();
-    return w <= 0.0 ? 0.0 : static_cast<double>(cycles) / w / 1e6;
-}
 
 std::string
 hostFingerprint()
@@ -179,196 +79,6 @@ sanitizedBuild()
 #endif
 #endif
     return s;
-}
-
-BenchReport
-runThroughputBench(const BenchOptions &o, const BenchProgressFn &progress)
-{
-    const std::vector<std::string> &configNames =
-        o.configNames.empty() ? defaultBenchConfigs() : o.configNames;
-    const std::vector<std::string> &workloads =
-        o.workloads.empty() ? defaultBenchWorkloads() : o.workloads;
-    msp_assert(o.reps > 0, "bench needs at least one repetition");
-    msp_assert(o.instrs > 0, "bench needs a non-zero instruction budget");
-
-    // Resolve presets up front (SpecError before any timing) and
-    // synthesise each workload once — program build time is setup, not
-    // simulation throughput.
-    std::vector<MachineConfig> configs;
-    for (const std::string &n : configNames)
-        configs.push_back(presetByName(n, o.predictor));
-    std::vector<Program> programs;
-    for (const std::string &w : workloads)
-        programs.push_back(spec::build(w, o.seed));
-
-    BenchReport r;
-    r.host = hostFingerprint();
-    r.sanitized = sanitizedBuild();
-    r.predictor = predictorName(o.predictor);
-    r.instrs = o.instrs;
-    r.reps = o.reps;
-    r.seed = o.seed;
-    r.workloads = workloads;
-    for (const std::string &n : configNames) {
-        BenchConfigResult c;
-        c.config = n;
-        r.configs.push_back(std::move(c));
-    }
-
-    using clock = std::chrono::steady_clock;
-    for (unsigned rep = 0; rep < o.reps; ++rep) {
-        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-            BenchConfigResult &out = r.configs[ci];
-            std::uint64_t committed = 0, cycles = 0;
-            const clock::time_point t0 = clock::now();
-            for (const Program &prog : programs) {
-                Machine m(configs[ci], prog);
-                const RunResult res = m.run(o.instrs);
-                committed += res.committed;
-                cycles += res.cycles;
-            }
-            const std::chrono::duration<double> wall = clock::now() - t0;
-
-            if (rep == 0) {
-                out.committed = committed;
-                out.cycles = cycles;
-            } else if (out.committed != committed ||
-                       out.cycles != cycles) {
-                // Timing a non-deterministic simulator measures
-                // nothing; this is a broken build, not a slow one.
-                msp_fatal("bench: %s repetition %u diverged "
-                          "(committed %llu vs %llu, cycles %llu vs "
-                          "%llu) — simulator is non-deterministic",
-                          out.config.c_str(), rep,
-                          static_cast<unsigned long long>(out.committed),
-                          static_cast<unsigned long long>(committed),
-                          static_cast<unsigned long long>(out.cycles),
-                          static_cast<unsigned long long>(cycles));
-            }
-            out.wallSec.push_back(wall.count());
-            if (progress)
-                progress(out.config, rep + 1, o.reps, wall.count());
-        }
-    }
-    return r;
-}
-
-std::string
-benchReportToJson(const BenchReport &r)
-{
-    std::string s;
-    s += "{\n";
-    s += csprintf("  \"schema\": \"%s\",\n", benchSchemaId);
-    s += csprintf("  \"host\": \"%s\",\n",
-                  json::escape(r.host).c_str());
-    s += csprintf("  \"sanitized\": %s,\n",
-                  r.sanitized ? "true" : "false");
-    s += csprintf("  \"predictor\": \"%s\",\n",
-                  json::escape(r.predictor).c_str());
-    s += csprintf("  \"instrs\": %llu,\n",
-                  static_cast<unsigned long long>(r.instrs));
-    s += csprintf("  \"reps\": %u,\n", r.reps);
-    s += csprintf("  \"seed\": %llu,\n",
-                  static_cast<unsigned long long>(r.seed));
-    s += "  \"workloads\": [";
-    for (std::size_t i = 0; i < r.workloads.size(); ++i) {
-        s += csprintf("%s\"%s\"", i ? ", " : "",
-                      json::escape(r.workloads[i]).c_str());
-    }
-    s += "],\n";
-    s += "  \"configs\": [\n";
-    for (std::size_t i = 0; i < r.configs.size(); ++i) {
-        const BenchConfigResult &c = r.configs[i];
-        s += "    {\n";
-        s += csprintf("      \"config\": \"%s\",\n",
-                      json::escape(c.config).c_str());
-        s += csprintf("      \"committed\": %llu,\n",
-                      static_cast<unsigned long long>(c.committed));
-        s += csprintf("      \"cycles\": %llu,\n",
-                      static_cast<unsigned long long>(c.cycles));
-        s += "      \"wall_sec\": [";
-        for (std::size_t j = 0; j < c.wallSec.size(); ++j)
-            s += csprintf("%s%s", j ? ", " : "",
-                          numToJson(c.wallSec[j]).c_str());
-        s += "],\n";
-        s += csprintf("      \"best_wall_sec\": %s,\n",
-                      numToJson(c.bestWallSec()).c_str());
-        s += csprintf("      \"minstr_per_sec\": %s,\n",
-                      numToJson(c.minstrPerSec()).c_str());
-        s += csprintf("      \"mcycles_per_sec\": %s\n",
-                      numToJson(c.mcyclesPerSec()).c_str());
-        s += i + 1 < r.configs.size() ? "    },\n" : "    }\n";
-    }
-    s += "  ]\n";
-    s += "}\n";
-    return s;
-}
-
-BenchReport
-benchReportFromJson(const std::string &doc)
-{
-    const std::string schema = json::getStr(doc, "schema");
-    if (schema != benchSchemaId) {
-        throw json::JsonError(csprintf(
-            "not a bench report (schema '%s', want '%s')",
-            schema.c_str(), benchSchemaId));
-    }
-    BenchReport r;
-    r.host = json::getStr(doc, "host");
-    r.sanitized = json::getBool(doc, "sanitized", false);
-    r.predictor = json::getStr(doc, "predictor");
-    r.instrs = json::getU64(doc, "instrs", 0);
-    r.reps = static_cast<unsigned>(json::getU64(doc, "reps", 0));
-    r.seed = json::getU64(doc, "seed", 1);
-
-    const std::size_t wpos = json::valuePos(doc, "workloads");
-    if (wpos != std::string::npos && doc[wpos] == '[')
-        r.workloads = json::innerStrings(json::balancedSlice(doc, wpos));
-
-    const std::size_t cpos = json::valuePos(doc, "configs");
-    if (cpos == std::string::npos || doc[cpos] != '[')
-        throw json::JsonError("bench report has no \"configs\" array");
-    for (const std::string &obj :
-         json::innerObjects(json::balancedSlice(doc, cpos))) {
-        BenchConfigResult c;
-        c.config = json::getStr(obj, "config");
-        if (c.config.empty())
-            throw json::JsonError("bench config entry without a name");
-        c.committed = json::getU64(obj, "committed", 0);
-        c.cycles = json::getU64(obj, "cycles", 0);
-        c.wallSec = numberArray(obj, "wall_sec");
-        r.configs.push_back(std::move(c));
-    }
-    if (r.configs.empty())
-        throw json::JsonError("bench report has no configurations");
-    return r;
-}
-
-std::vector<std::string>
-benchRegressions(const BenchReport &baseline, const BenchReport &current,
-                 double pct)
-{
-    std::vector<std::string> out;
-    for (const BenchConfigResult &cur : current.configs) {
-        const BenchConfigResult *base = nullptr;
-        for (const BenchConfigResult &b : baseline.configs)
-            if (b.config == cur.config)
-                base = &b;
-        if (!base)
-            continue;
-        const double was = base->minstrPerSec();
-        const double now = cur.minstrPerSec();
-        if (was <= 0.0 || now <= 0.0)
-            continue;
-        const double floor = was * (1.0 - pct / 100.0);
-        if (now < floor) {
-            out.push_back(csprintf(
-                "%s: %.2f -> %.2f MInstr/s (-%.1f%%, gate %.0f%%)",
-                cur.config.c_str(), was, now, (was - now) / was * 100.0,
-                pct));
-        }
-    }
-    return out;
 }
 
 } // namespace driver

@@ -74,10 +74,10 @@ using ProgressFn =
 
 /**
  * Per-run committed-instruction budget used when a job leaves
- * maxInsts at 0. Defaults to 60000; override with the
- * MSP_BENCH_INSTRS environment variable to trade time for fidelity.
+ * maxInsts at 0. A job that wants another budget says so in maxInsts
+ * (msp_sim's --instrs), which also enters its checkpoint identity.
  */
-std::uint64_t defaultInstBudget();
+inline constexpr std::uint64_t defaultInstBudget = 60000;
 
 /**
  * Deterministic per-job seed derivation (splitmix64 of base and

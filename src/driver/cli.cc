@@ -1,9 +1,11 @@
 #include "driver/cli.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -159,18 +161,83 @@ resolveMachines(const CliOptions &o)
     return machines;
 }
 
+namespace {
+
+/** One invocation form and the flags it takes besides --json and
+ *  --quiet, which every form takes (--help and --list end parsing). */
+struct Form
+{
+    const char *name;
+    std::vector<std::string_view> flags;
+};
+
+const std::vector<Form> &
+forms()
+{
+    static const std::vector<Form> v = {
+        {"merge", {}},
+        {"spec", {"--configs", "--machine", "--set", "--predictor"}},
+        {"trace", {"--workloads", "--seed"}},
+        {"matrix",
+         {"--threads", "--instrs", "--seed", "--csv", "--workloads",
+          "--grid", "--configs", "--machine", "--set", "--predictor",
+          "--checkpoint", "--checkpoint-every", "--resume", "--shard"}},
+        {"verify",
+         {"--threads", "--instrs", "--seed", "--seeds", "--mixes",
+          "--configs", "--machine", "--set", "--predictor", "--fail-fast",
+          "--snapshot-every", "--budget-sec", "--bisect-exact", "--reduce",
+          "--coverage", "--corpus", "--waves", "--tune", "--checkpoint",
+          "--checkpoint-every", "--resume", "--shard"}},
+        // Named workloads run a few jobs sequentially: no fuzzing,
+        // triage, coverage or campaign state.
+        {"verify --workloads/--grid",
+         {"--threads", "--instrs", "--seed", "--workloads", "--grid",
+          "--configs", "--machine", "--set", "--predictor",
+          "--snapshot-every"}},
+        // Replay takes seed, mix and machine from the report itself.
+        {"verify --repro", {"--repro", "--instrs", "--snapshot-every"}},
+        // A scenario fixes its own matrix (its grid document ships in
+        // examples/grids/; matrix --grid runs a variation of it).
+        {"scenario", {"--threads", "--instrs", "--csv"}},
+    };
+    return v;
+}
+
+/** The form of a parsed invocation; verify splits the way runVerify
+ *  dispatches. @throws CliError on an unknown scenario. */
+const Form &
+formOf(const CliOptions &o)
+{
+    std::string_view name = o.mode;
+    if (o.mode == "verify" && !o.reproPath.empty()) {
+        name = "verify --repro";
+    } else if (o.mode == "verify" &&
+               (!o.workloads.empty() || !o.gridPath.empty())) {
+        name = "verify --workloads/--grid";
+    } else if (o.mode != "merge" && o.mode != "spec" &&
+               o.mode != "trace" && o.mode != "matrix" &&
+               o.mode != "verify") {
+        if (!findScenario(o.mode))
+            throw CliError(csprintf("unknown scenario '%s' (see --list)",
+                                    o.mode.c_str()));
+        name = "scenario";
+    }
+    for (const Form &f : forms())
+        if (name == f.name)
+            return f;
+    msp_panic("no CLI form named %s", std::string(name).c_str());
+}
+
+} // namespace
+
 CliOptions
 parseCliArgs(const std::vector<std::string> &args)
 {
     CliOptions o;
-    bool predictorSet = false;
-    bool seedSet = false;
-    bool seedsSet = false;
-    bool threadsSet = false;
-    bool checkpointEverySet = false;
-    bool repsSet = false;
-    bool gatePctSet = false;
-    bool wavesSet = false;
+    std::vector<std::string> seen;   ///< every flag, in command-line order
+    auto has = [&](std::string_view flag) {
+        return std::find(seen.begin(), seen.end(), flag) != seen.end();
+    };
 
     auto value = [&](std::size_t &i) -> const std::string & {
         if (i + 1 >= args.size())
@@ -180,21 +247,22 @@ parseCliArgs(const std::vector<std::string> &args)
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
+        if (!a.empty() && a[0] == '-')
+            seen.push_back(a);
         if (a == "--help" || a == "-h") {
             o.help = true;
         } else if (a == "--list") {
             o.list = true;
         } else if (a == "--threads") {
             o.threads = parseUnsignedFlag(a, value(i));
-            threadsSet = true;
         } else if (a == "--instrs") {
             o.instrs = parseU64Flag(a, value(i));
         } else if (a == "--seed") {
             o.seed = parseU64Flag(a, value(i));
-            seedSet = true;
         } else if (a == "--seeds") {
             o.seeds = parseUnsignedFlag(a, value(i));
-            seedsSet = true;
+            if (o.seeds == 0)
+                throw CliError("--seeds needs a value > 0");
         } else if (a == "--json") {
             o.jsonPath = value(i);
         } else if (a == "--csv") {
@@ -211,18 +279,6 @@ parseCliArgs(const std::vector<std::string> &args)
             o.budgetSec = parseDoubleFlag(a, value(i));
             if (o.budgetSec <= 0.0)
                 throw CliError("--budget-sec needs a value > 0");
-        } else if (a == "--reps") {
-            o.reps = parseUnsignedFlag(a, value(i));
-            if (o.reps == 0)
-                throw CliError("--reps needs a value > 0");
-            repsSet = true;
-        } else if (a == "--baseline") {
-            o.baselinePath = value(i);
-        } else if (a == "--gate-pct") {
-            o.gatePct = parseDoubleFlag(a, value(i));
-            if (o.gatePct <= 0.0 || o.gatePct >= 100.0)
-                throw CliError("--gate-pct wants a percentage in (0, 100)");
-            gatePctSet = true;
         } else if (a == "--repro") {
             o.reproPath = value(i);
         } else if (a == "--bisect-exact") {
@@ -237,7 +293,6 @@ parseCliArgs(const std::vector<std::string> &args)
             o.waves = parseUnsignedFlag(a, value(i));
             if (o.waves == 0)
                 throw CliError("--waves needs a value > 0");
-            wavesSet = true;
         } else if (a == "--tune") {
             o.tune = true;
         } else if (a == "--checkpoint") {
@@ -246,7 +301,6 @@ parseCliArgs(const std::vector<std::string> &args)
             o.checkpointEvery = parseUnsignedFlag(a, value(i));
             if (o.checkpointEvery == 0)
                 throw CliError("--checkpoint-every needs a value > 0");
-            checkpointEverySet = true;
         } else if (a == "--resume") {
             o.resumePath = value(i);
         } else if (a == "--shard") {
@@ -284,7 +338,6 @@ parseCliArgs(const std::vector<std::string> &args)
             else
                 throw CliError(csprintf("unknown predictor '%s'",
                                         p.c_str()));
-            predictorSet = true;
         } else if (!a.empty() && a[0] == '-') {
             throw CliError("unknown option " + a);
         } else if (o.mode.empty()) {
@@ -302,12 +355,24 @@ parseCliArgs(const std::vector<std::string> &args)
     if (o.mode.empty())
         throw CliError("missing scenario or mode");
 
-    // Every config name must resolve (fail at parse, not mid-campaign).
+    // A flag the form does not take would be silently ignored and
+    // mislabel the run the user asked for.
+    const Form &form = formOf(o);
+    for (const std::string &flag : seen) {
+        if (flag == "--json" || flag == "--quiet" ||
+            std::find(form.flags.begin(), form.flags.end(), flag) !=
+                form.flags.end())
+            continue;
+        const std::string where = form.name == std::string_view("scenario")
+                                      ? "scenario " + o.mode
+                                      : form.name;
+        throw CliError(flag + " does not apply to " + where);
+    }
+
+    // Every name must resolve (fail at parse, not mid-campaign). Trace
+    // files behind trace:FILE workloads are only read at run time.
     for (const std::string &c : o.configNames)
         (void)configByName(c, o.predictor);
-
-    // Every workload name must be registered (the trace file itself is
-    // only read at run time; here only the reference shape is checked).
     for (const std::string &w : o.workloads) {
         if (!workload::known(w)) {
             throw CliError(csprintf("unknown workload '%s' (want a "
@@ -317,29 +382,61 @@ parseCliArgs(const std::vector<std::string> &args)
                                     w.c_str()));
         }
     }
-
-    // Every --set override must name a registered parameter and carry a
-    // valid value (proven against a scratch machine) — fail at parse,
-    // not mid-campaign.
+    for (const std::string &m : o.mixNames) {
+        if (!verify::findMix(m))
+            throw CliError(csprintf("unknown mix '%s' (want mixed, "
+                                    "branchy, memory, fploop or "
+                                    "fpedge)", m.c_str()));
+    }
+    // Every --set override must name a registered parameter and carry
+    // a valid value, proven against a scratch machine.
     {
         std::vector<MachineConfig> scratch(1);
         applySpecSets(scratch, o.sets);
     }
 
-    const bool triageFlags = o.failFast || o.snapshotEvery != 0 ||
-                             o.budgetSec > 0.0 || !o.reproPath.empty() ||
-                             o.bisectExact || o.reduce;
-    const bool benchFlags = repsSet || gatePctSet ||
-                            !o.baselinePath.empty();
-    const bool coverageFlags = o.coverage || !o.corpusPath.empty() ||
-                               wavesSet || o.tune;
-    const bool specSources = !o.machinePath.empty() || !o.sets.empty();
-    const bool gridFlag = !o.gridPath.empty();
-    const bool stateFlags = !o.checkpointPath.empty() ||
-                            !o.resumePath.empty() || o.shardCount != 0 ||
-                            checkpointEverySet;
-
-    if (checkpointEverySet && o.checkpointPath.empty() &&
+    // Rules beyond "flag X belongs to form Y".
+    if (o.mode == "merge" && o.mergeInputs.empty())
+        throw CliError("merge mode needs at least one shard report");
+    if (o.mode == "spec" &&
+        o.configNames.size() + (o.machinePath.empty() ? 0 : 1) != 1) {
+        throw CliError("spec mode needs exactly one machine: one "
+                       "--configs preset or one --machine FILE");
+    }
+    if (o.mode == "trace" && o.workloads.size() != 1) {
+        throw CliError("trace mode dumps exactly one workload "
+                       "(--workloads NAME)");
+    }
+    if (o.mode == "matrix" && o.gridPath.empty() &&
+        (o.workloads.empty() ||
+         (o.configNames.empty() && o.machinePath.empty()))) {
+        throw CliError("matrix mode needs --workloads and a machine "
+                       "(--configs and/or --machine), or a --grid "
+                       "document");
+    }
+    if (has("--grid") && (has("--configs") || has("--machine"))) {
+        throw CliError("--grid carries its own machines; --configs/"
+                       "--machine do not combine with it");
+    }
+    // A matrix grid without workload axes is crossed with --workloads;
+    // verify --grid needs a workload-binding grid.
+    if (o.mode == "verify" && has("--grid") && has("--workloads")) {
+        throw CliError("--grid binds its own workloads in verify mode; "
+                       "--workloads does not combine with it");
+    }
+    if (!o.coverage &&
+        (has("--corpus") || has("--waves") || has("--tune"))) {
+        throw CliError("--corpus/--waves/--tune need --coverage (they "
+                       "manage and steer the coverage map)");
+    }
+    if (o.coverage &&
+        (has("--checkpoint") || has("--resume") || has("--shard"))) {
+        throw CliError("--coverage does not combine with --checkpoint/"
+                       "--resume/--shard: wave retuning changes the job "
+                       "list mid-campaign, which checkpoint identity "
+                       "cannot describe");
+    }
+    if (has("--checkpoint-every") && o.checkpointPath.empty() &&
         o.resumePath.empty()) {
         throw CliError("--checkpoint-every needs --checkpoint or "
                        "--resume");
@@ -348,188 +445,6 @@ parseCliArgs(const std::vector<std::string> &args)
     // resumes from: an interrupted resume stays resumable.
     if (!o.resumePath.empty() && o.checkpointPath.empty())
         o.checkpointPath = o.resumePath;
-
-    if (o.mode == "merge") {
-        if (o.mergeInputs.empty())
-            throw CliError("merge mode needs at least one shard report");
-        if (!o.workloads.empty() || !o.configNames.empty() ||
-            !o.mixNames.empty() || predictorSet || seedSet || seedsSet ||
-            threadsSet || o.instrs != 0 || !o.csvPath.empty() ||
-            triageFlags || specSources || gridFlag || stateFlags ||
-            benchFlags || coverageFlags) {
-            throw CliError("merge mode only takes shard reports and "
-                           "--json/--quiet");
-        }
-        return o;
-    }
-    if (o.mode == "bench") {
-        // Throughput measurement is strictly sequential; more than one
-        // worker would time thread scheduling, not the simulator.
-        // --threads 1 additionally pins the process to one CPU.
-        if (threadsSet && o.threads != 1) {
-            throw CliError("bench mode is single-threaded; only "
-                           "--threads 1 (which pins the CPU) applies");
-        }
-        if (seedsSet || !o.mixNames.empty() || !o.csvPath.empty() ||
-            triageFlags || specSources || gridFlag || stateFlags ||
-            coverageFlags) {
-            throw CliError("bench mode takes --workloads/--configs/"
-                           "--predictor/--instrs/--seed/--reps/"
-                           "--baseline/--gate-pct/--json/--quiet/"
-                           "--threads 1 only");
-        }
-        return o;
-    }
-    if (o.mode == "spec") {
-        if (o.configNames.size() + (o.machinePath.empty() ? 0 : 1) != 1) {
-            throw CliError("spec mode needs exactly one machine: one "
-                           "--configs preset or one --machine FILE");
-        }
-        if (!o.workloads.empty() || seedsSet || seedSet ||
-            !o.mixNames.empty() || !o.csvPath.empty() || triageFlags ||
-            gridFlag || threadsSet || o.instrs != 0 || stateFlags ||
-            benchFlags || coverageFlags) {
-            throw CliError("spec mode only takes --configs/--machine/"
-                           "--set/--predictor/--json/--quiet");
-        }
-    } else if (o.mode == "trace") {
-        if (o.workloads.size() != 1) {
-            throw CliError("trace mode dumps exactly one workload "
-                           "(--workloads NAME)");
-        }
-        if (!o.configNames.empty() || specSources || gridFlag ||
-            seedsSet || !o.mixNames.empty() || predictorSet ||
-            threadsSet || o.instrs != 0 || !o.csvPath.empty() ||
-            triageFlags || benchFlags || coverageFlags || stateFlags) {
-            throw CliError("trace mode only takes --workloads NAME, "
-                           "--seed, --json and --quiet");
-        }
-    } else if (o.mode == "matrix") {
-        if (gridFlag) {
-            // A grid document carries its own machines (and usually its
-            // own workloads); --workloads stays legal so a machine-only
-            // grid can be crossed with an explicit workload list.
-            if (!o.configNames.empty() || !o.machinePath.empty()) {
-                throw CliError("--grid carries its own machines; "
-                               "--configs/--machine do not combine "
-                               "with it");
-            }
-        } else if (o.workloads.empty() ||
-                   (o.configNames.empty() && o.machinePath.empty())) {
-            throw CliError("matrix mode needs --workloads and a machine "
-                           "(--configs and/or --machine), or a --grid "
-                           "document");
-        }
-        if (seedsSet || !o.mixNames.empty())
-            throw CliError("--seeds/--mixes only apply to verify mode");
-        if (triageFlags)
-            throw CliError("--fail-fast/--snapshot-every/--budget-sec/"
-                           "--repro/--bisect-exact/--reduce only apply "
-                           "to verify mode");
-        if (benchFlags)
-            throw CliError("--reps/--baseline/--gate-pct only apply to "
-                           "bench mode");
-        if (coverageFlags)
-            throw CliError("--coverage/--corpus/--waves/--tune only "
-                           "apply to verify mode");
-    } else if (o.mode == "verify") {
-        if (o.seeds == 0)
-            throw CliError("verify mode needs --seeds > 0");
-        if (benchFlags)
-            throw CliError("--reps/--baseline/--gate-pct only apply to "
-                           "bench mode");
-        // --workloads (or a workload-binding --grid) switches verify
-        // from fuzzed sweeps to deterministic named-workload runs: a
-        // small sequential diffRun loop, so the fuzz-campaign and
-        // checkpoint machinery does not apply.
-        if (!o.workloads.empty() && gridFlag) {
-            throw CliError("--grid binds its own workloads in verify "
-                           "mode; --workloads does not combine with it");
-        }
-        if (gridFlag && (!o.configNames.empty() ||
-                         !o.machinePath.empty())) {
-            throw CliError("--grid carries its own machines; "
-                           "--configs/--machine do not combine with it");
-        }
-        if (!o.workloads.empty() || gridFlag) {
-            if (seedsSet || !o.mixNames.empty()) {
-                throw CliError("--seeds/--mixes fuzz programs; they do "
-                               "not apply when verifying named "
-                               "workloads (--workloads/--grid)");
-            }
-            if (o.failFast || o.budgetSec > 0.0 || !o.reproPath.empty() ||
-                o.bisectExact || o.reduce || coverageFlags) {
-                throw CliError("--fail-fast/--budget-sec/--repro/"
-                               "--bisect-exact/--reduce/--coverage/"
-                               "--corpus/--waves/--tune only apply to "
-                               "the fuzzed verify sweep, not "
-                               "--workloads/--grid verification");
-            }
-            if (stateFlags) {
-                throw CliError("named-workload verification runs its "
-                               "few jobs sequentially; --checkpoint/"
-                               "--resume/--shard do not apply");
-            }
-        }
-        if (!o.csvPath.empty())
-            throw CliError("--csv does not apply to verify mode "
-                           "(use --json)");
-        for (const std::string &m : o.mixNames) {
-            if (!verify::findMix(m))
-                throw CliError(csprintf("unknown mix '%s' (want mixed, "
-                                        "branchy, memory, fploop or "
-                                        "fpedge)", m.c_str()));
-        }
-        if (!o.reproPath.empty() &&
-            (seedsSet || seedSet || !o.mixNames.empty() ||
-             !o.configNames.empty() || predictorSet || specSources)) {
-            throw CliError("--repro replays the report's own seed/mix/"
-                           "machine spec; --seeds/--seed/--mixes/"
-                           "--configs/--machine/--set/--predictor do "
-                           "not combine with it");
-        }
-        if (!o.reproPath.empty() &&
-            (o.failFast || o.budgetSec > 0.0 || threadsSet ||
-             o.bisectExact || o.reduce || stateFlags || coverageFlags)) {
-            throw CliError("--fail-fast/--budget-sec/--threads/"
-                           "--bisect-exact/--reduce/--checkpoint/"
-                           "--resume/--shard/--coverage/--corpus/"
-                           "--waves/--tune do not apply to --repro "
-                           "replay (it runs every recorded reproducer "
-                           "sequentially)");
-        }
-        if (coverageFlags && !o.coverage) {
-            throw CliError("--corpus/--waves/--tune need --coverage "
-                           "(they manage and steer the coverage map)");
-        }
-        if (o.coverage && stateFlags) {
-            throw CliError("--coverage does not combine with "
-                           "--checkpoint/--resume/--shard: wave "
-                           "retuning changes the job list mid-campaign, "
-                           "which checkpoint identity cannot describe");
-        }
-    } else {
-        if (!findScenario(o.mode))
-            throw CliError(csprintf("unknown scenario '%s' (see --list)",
-                                    o.mode.c_str()));
-        // Scenarios fix their own matrix; silently ignoring these
-        // flags would mislabel the results the user asked for.
-        if (!o.workloads.empty() || !o.configNames.empty() ||
-            predictorSet || seedSet || seedsSet || !o.mixNames.empty() ||
-            triageFlags || specSources || gridFlag || stateFlags ||
-            benchFlags || coverageFlags) {
-            throw CliError(csprintf(
-                "--workloads/--configs/--machine/--set/--grid/"
-                "--predictor/"
-                "--seed/--seeds/--mixes/--fail-fast/--snapshot-every/"
-                "--budget-sec/--repro/--bisect-exact/--reduce/"
-                "--coverage/--corpus/--waves/--tune/"
-                "--checkpoint/--resume/--shard/--reps/--baseline/"
-                "--gate-pct only apply to matrix, verify, spec or "
-                "bench mode, not scenario '%s' (its grid document "
-                "ships in examples/grids/)", o.mode.c_str()));
-        }
-    }
     return o;
 }
 

@@ -30,7 +30,7 @@ struct CliError : std::runtime_error
 struct CliOptions
 {
     std::string mode;     ///< scenario name, "matrix", "verify", "spec",
-                          ///< "bench", "trace" or "merge"
+                          ///< "trace" or "merge"
     bool help = false;         ///< --help: print usage, exit 0
     bool list = false;         ///< --list: print scenarios, exit 0
     unsigned threads = 0;      ///< 0 = all hardware threads
@@ -63,11 +63,6 @@ struct CliOptions
     std::string corpusPath;            ///< --corpus FILE (JSONL corpus)
     unsigned waves = 1;                ///< --waves N: campaign waves
     bool tune = false;                 ///< --tune: reweight mixes per wave
-
-    // ---- bench-mode knobs -------------------------------------------------
-    unsigned reps = 3;                 ///< timed repetitions per config
-    std::string baselinePath;          ///< --baseline FILE to gate against
-    double gatePct = 15.0;             ///< --gate-pct regression threshold
 
     // ---- campaign state (matrix + verify; see driver/state.hh) ------------
     std::string checkpointPath;        ///< --checkpoint FILE (durable state)
@@ -130,14 +125,14 @@ std::vector<MachineConfig> resolveMachines(const CliOptions &o);
 /**
  * Parse and validate argv[1..] (program name excluded).
  *
- * Validation is mode-aware: matrix requires --workloads/--configs (or
- * a --grid document), verify accepts --seeds/--mixes/--configs for the
- * fuzzed sweep or --workloads/--grid for deterministic named-workload
- * verification, trace takes exactly one --workloads name, and scenario
- * modes reject every matrix/verify-only flag so a mislabelled sweep
- * cannot run silently. Unknown scenario names are rejected here
- * against the scenario registry; workload names are checked against
- * the workload registry.
+ * Each invocation form (merge, spec, trace, matrix, a scenario, and
+ * verify fuzzed, over --workloads/--grid, or replaying --repro) has
+ * one row in a table of the flags it takes; the first flag given that
+ * is not in the form's row is rejected by name, so a mislabelled run
+ * cannot start silently. Rules that relate flags or values (spec takes
+ * exactly one machine, --grid excludes --configs, ...) are checked
+ * after it. Scenario, preset, workload and mix names and --set
+ * overrides are resolved here against their registries.
  *
  * @throws CliError on any user error.
  */

@@ -32,8 +32,8 @@
 #include "pipeline/dyninst.hh"
 #include "pipeline/dyninst_pool.hh"
 #include "pipeline/fu_pool.hh"
-#include "pipeline/inst_queue.hh"
 #include "pipeline/params.hh"
+#include "pipeline/window_lanes.hh"
 
 namespace msp {
 
@@ -305,7 +305,7 @@ class CoreBase
     StatGroup &stats;
     MemorySystem memSys;
     BranchUnit branchUnit;
-    InstQueue iq;
+    WindowLanes iq;
     FuPool fuPool;
     HierStoreQueue sq;
     FunctionalExecutor oracle;

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 
+#include "driver/bench.hh"
 #include "driver/campaign.hh"
 #include "driver/report.hh"
 #include "driver/scenario.hh"
@@ -172,6 +174,36 @@ TEST(SimCampaign, EffectiveThreadsNeverExceedsJobs)
     EXPECT_EQ(c.effectiveThreads(), 3u);
     SimCampaign empty(0);
     EXPECT_EQ(empty.effectiveThreads(), 1u);
+}
+
+TEST(SimCampaign, DefaultBudgetIgnoresTheEnvironment)
+{
+    // The default budget is a constant: a job that leaves maxInsts at
+    // 0 records budget 0 in its checkpoint identity, so a budget read
+    // from the environment could resume a campaign run at another
+    // budget and label its rows with the wrong one.
+    ::setenv("MSP_BENCH_INSTRS", "5000", 1);
+    SimCampaign c(1);
+    c.addMatrix({"gzip"}, {cprConfig(PredictorKind::Gshare)}, 0);
+    const auto results = c.run();
+    ::unsetenv("MSP_BENCH_INSTRS");
+
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_GE(results[0].result.committed, driver::defaultInstBudget);
+    EXPECT_EQ(driver::defaultInstBudget, 60000u);
+    EXPECT_NE(driver::toJson(results).find("\"max_insts\": 60000"),
+              std::string::npos);
+}
+
+// perfbench stamps its reports with this fingerprint and cuts the
+// thread count off at the last '/'.
+TEST(BenchRun, HostFingerprintIsStableAndDescriptive)
+{
+    const std::string fp = driver::hostFingerprint();
+    EXPECT_FALSE(fp.empty());
+    EXPECT_EQ(fp, driver::hostFingerprint());
+    // arch/model/threads — at least the two separators.
+    EXPECT_GE(std::count(fp.begin(), fp.end(), '/'), 2);
 }
 
 TEST(Report, JsonAndCsvCarryTheJobRecord)

@@ -487,7 +487,6 @@ TEST(ParseCliArgs, CoverageFlagErrors)
     EXPECT_THROW(parseCliArgs({"matrix", "--workloads", "gzip",
                                "--configs", "cpr", "--coverage"}),
                  CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--coverage"}), CliError);
     EXPECT_THROW(parseCliArgs({"spec", "--configs", "cpr", "--tune"}),
                  CliError);
     EXPECT_THROW(parseCliArgs({"fig6", "--coverage"}), CliError);
@@ -525,52 +524,6 @@ TEST(ParseCliArgs, MergeMode)
                  CliError);
     EXPECT_THROW(parseCliArgs({"merge", "a.json", "--checkpoint",
                                "c.jsonl"}),
-                 CliError);
-}
-
-TEST(ParseCliArgs, BenchMode)
-{
-    const CliOptions o = parseCliArgs(
-        {"bench", "--configs", "baseline,16sp", "--workloads", "gzip",
-         "--instrs", "50000", "--reps", "5", "--baseline", "base.json",
-         "--gate-pct", "10", "--threads", "1", "--json", "out.json"});
-    EXPECT_EQ(o.mode, "bench");
-    EXPECT_EQ(o.reps, 5u);
-    EXPECT_EQ(o.baselinePath, "base.json");
-    EXPECT_DOUBLE_EQ(o.gatePct, 10.0);
-    EXPECT_EQ(o.threads, 1u);
-    EXPECT_EQ(o.instrs, 50000u);
-
-    // Defaults: everything optional.
-    const CliOptions d = parseCliArgs({"bench"});
-    EXPECT_EQ(d.reps, 3u);
-    EXPECT_DOUBLE_EQ(d.gatePct, 15.0);
-    EXPECT_TRUE(d.baselinePath.empty());
-}
-
-TEST(ParseCliArgs, BenchModeFlagErrors)
-{
-    // Throughput is measured sequentially; a worker pool would time
-    // the scheduler.
-    EXPECT_THROW(parseCliArgs({"bench", "--threads", "2"}), CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--reps", "0"}), CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--reps", "3x"}), CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--gate-pct", "0"}), CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--gate-pct", "100"}), CliError);
-    // Campaign/verify machinery does not apply to a timing run.
-    EXPECT_THROW(parseCliArgs({"bench", "--seeds", "10"}), CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--checkpoint", "c.jsonl"}),
-                 CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--set", "cpr.checkpoints=4"}),
-                 CliError);
-    // And the bench flags stay bench-only in both directions.
-    EXPECT_THROW(parseCliArgs({"matrix", "--workloads", "gzip",
-                               "--configs", "cpr", "--reps", "3"}),
-                 CliError);
-    EXPECT_THROW(parseCliArgs({"verify", "--baseline", "b.json"}),
-                 CliError);
-    EXPECT_THROW(parseCliArgs({"fig6", "--gate-pct", "10"}), CliError);
-    EXPECT_THROW(parseCliArgs({"merge", "a.json", "--reps", "2"}),
                  CliError);
 }
 
@@ -625,7 +578,6 @@ TEST(ParseCliArgs, GridFlagGrammar)
     EXPECT_THROW(parseCliArgs({"fig6", "--grid", "g.json"}), CliError);
     EXPECT_THROW(parseCliArgs({"merge", "a.json", "--grid", "g.json"}),
                  CliError);
-    EXPECT_THROW(parseCliArgs({"bench", "--grid", "g.json"}), CliError);
     EXPECT_THROW(parseCliArgs({"spec", "--configs", "cpr", "--grid",
                                "g.json"}),
                  CliError);
@@ -653,6 +605,63 @@ TEST(ParseCliArgs, TraceMode)
     EXPECT_THROW(parseCliArgs({"trace", "--workloads", "gzip", "--grid",
                                "g.json"}),
                  CliError);
+}
+
+TEST(ParseCliArgs, EachFormRejectsFlagsOutsideItsRow)
+{
+    // One minimal valid invocation per form, plus one flag its row
+    // lacks: the error names both the flag and the form.
+    struct Case
+    {
+        std::vector<std::string> args;
+        std::vector<std::string> extra;
+        const char *form;
+    };
+    const Case cases[] = {
+        {{"merge", "a.json"}, {"--threads", "2"}, "merge"},
+        {{"spec", "--configs", "cpr"}, {"--instrs", "5000"}, "spec"},
+        {{"trace", "--workloads", "gzip"}, {"--predictor", "tage"},
+         "trace"},
+        {{"matrix", "--workloads", "gzip", "--configs", "cpr"},
+         {"--mixes", "branchy"}, "matrix"},
+        {{"verify"}, {"--csv", "v.csv"}, "verify"},
+        {{"verify", "--workloads", "gzip"}, {"--checkpoint", "c.jsonl"},
+         "verify --workloads/--grid"},
+        {{"verify", "--grid", "g.json"}, {"--tune"},
+         "verify --workloads/--grid"},
+        {{"verify", "--repro", "d.json"}, {"--seed", "3"},
+         "verify --repro"},
+        {{"fig6"}, {"--shard", "0/2"}, "scenario fig6"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_NO_THROW(parseCliArgs(c.args)) << c.form;
+        std::vector<std::string> args = c.args;
+        args.insert(args.end(), c.extra.begin(), c.extra.end());
+        try {
+            parseCliArgs(args);
+            ADD_FAILURE() << c.form << " accepted " << c.extra[0];
+        } catch (const CliError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(c.extra[0] + " does not apply to " +
+                               c.form),
+                      std::string::npos)
+                << msg;
+        }
+    }
+
+    // The retired throughput mode is an unknown scenario, a CliError
+    // (msp_sim's exit 2), and its flags are unknown options.
+    try {
+        parseCliArgs({"bench"});
+        ADD_FAILURE() << "bench accepted";
+    } catch (const CliError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown scenario 'bench'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(parseCliArgs({"fig6", "--reps", "3"}), CliError);
+    EXPECT_THROW(parseCliArgs({"fig6", "--baseline", "b.json"}), CliError);
+    EXPECT_THROW(parseCliArgs({"fig6", "--gate-pct", "10"}), CliError);
 }
 
 TEST(ParseCliArgs, MalformedFlagsThrow)

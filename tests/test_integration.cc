@@ -13,6 +13,7 @@
 #include "sim/machine.hh"
 #include "sim/presets.hh"
 #include "workload/micro.hh"
+#include "workload/spec.hh"
 
 namespace msp {
 namespace {
@@ -126,6 +127,24 @@ TEST(Determinism, SameSeedSameCycles)
     EXPECT_EQ(r1.cycles, r2.cycles);
     EXPECT_EQ(r1.committed, r2.committed);
     EXPECT_EQ(r1.mispredicts, r2.mispredicts);
+}
+
+TEST(BenchRun, DynInstPoolKeepsRunsBitIdentical)
+{
+    // The arena-allocated instruction window must not perturb results:
+    // two back-to-back machines over the same program commit the same
+    // stream (the golden-stats fixtures pin the absolute values; this
+    // guards the pool against nondeterministic reuse orders).
+    const Program prog = spec::build("gcc", 1);
+    const MachineConfig cfg = nspConfig(8, PredictorKind::Gshare);
+    Machine a(cfg, prog);
+    Machine b(cfg, prog);
+    const RunResult ra = a.run(20000);
+    const RunResult rb = b.run(20000);
+    EXPECT_EQ(ra.committed, rb.committed);
+    EXPECT_EQ(ra.cycles, rb.cycles);
+    EXPECT_EQ(ra.mispredicts, rb.mispredicts);
+    EXPECT_EQ(ra.recoveries, rb.recoveries);
 }
 
 } // namespace

@@ -13,8 +13,10 @@
  *           --predictor tage --instrs 100000 --csv out.csv
  *   msp_sim verify --seeds 100 --json divergences.json
  *
- * Argument parsing lives in src/driver/cli.{hh,cc} (unit-tested);
- * this file only renders usage/reports and wires the campaigns.
+ * Argument parsing, including the table of flags each mode takes,
+ * lives in src/driver/cli.{hh,cc} (unit-tested); this file holds one
+ * runner per mode, renders usage and reports, and maps user errors to
+ * exit status 2.
  */
 
 #include <algorithm>
@@ -25,14 +27,9 @@
 #include <string>
 #include <vector>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "driver/bench.hh"
 #include "driver/campaign.hh"
 #include "driver/cli.hh"
 #include "driver/report.hh"
@@ -69,6 +66,18 @@ handleStopSignal(int sig)
     driver::setCampaignStop(true);
 }
 
+/**
+ * Campaigns run long enough that ^C deserves better than a lost run:
+ * the first signal drains in-flight jobs, flushes the final checkpoint
+ * and writes a partial report (exit 3); the second force-quits.
+ */
+void
+catchStopSignals()
+{
+    std::signal(SIGINT, handleStopSignal);
+    std::signal(SIGTERM, handleStopSignal);
+}
+
 /** Shared --checkpoint/--resume wiring for matrix and verify. */
 void
 configureState(CampaignState &state, const CliOptions &o)
@@ -89,7 +98,6 @@ printUsage(std::FILE *to)
         "       msp_sim verify [--seeds N] [--mixes M,N] [options]\n"
         "       msp_sim verify (--workloads A,B | --grid FILE) [options]\n"
         "       msp_sim trace --workloads NAME [--seed N] [--json FILE]\n"
-        "       msp_sim bench [--reps N] [--baseline FILE] [options]\n"
         "       msp_sim spec (--configs P | --machine FILE) [--set k=v]\n"
         "       msp_sim merge SHARD.json... [--json FILE]\n"
         "       msp_sim --list\n"
@@ -98,8 +106,8 @@ printUsage(std::FILE *to)
         "  --threads N    worker threads (default: all hardware threads;\n"
         "                 1 = single-threaded reference run)\n"
         "  --instrs N     committed-instruction budget per run\n"
-        "                 (default: 60000, or MSP_BENCH_INSTRS;\n"
-        "                 verify default: 1M as a safety bound)\n"
+        "                 (default: 60000; verify default: 1M as a\n"
+        "                 safety bound)\n"
         "  --json FILE    write per-job results as JSON\n"
         "  --csv FILE     write per-job results as CSV (not verify)\n"
         "  --quiet        suppress the header and per-job progress\n"
@@ -166,28 +174,6 @@ printUsage(std::FILE *to)
         "  --json FILE        write the JSONL trace (default: stdout);\n"
         "                     re-ingest it with workload trace:FILE or\n"
         "                     a workload.trace grid axis\n"
-        "\n"
-        "bench mode (simulator throughput, MInstr/s per config):\n"
-        "  --configs      presets to time (default: baseline, cpr,\n"
-        "                 ideal, 4sp, 8sp, 16sp)\n"
-        "  --workloads    workloads per timed sweep (default:\n"
-        "                 gzip,gcc,swim,mcf)\n"
-        "  --instrs N     committed budget per run (default 200000)\n"
-        "  --reps N       timed repetitions per config (default 3);\n"
-        "                 the best repetition is the throughput figure,\n"
-        "                 and committed/cycle counts must be identical\n"
-        "                 across repetitions (determinism check)\n"
-        "  --threads 1    pin the process to one CPU before timing\n"
-        "                 (bench always runs sequentially)\n"
-        "  --json FILE    write the BENCH_throughput.json report\n"
-        "                 (refused with a warning in sanitized builds:\n"
-        "                 those timings must never become a baseline)\n"
-        "  --baseline FILE\n"
-        "                 gate against a previous report: exit 1 when\n"
-        "                 any config's MInstr/s fell more than the gate\n"
-        "                 percentage; skipped loudly when the host\n"
-        "                 fingerprint differs from the baseline's\n"
-        "  --gate-pct P   regression threshold (default 15)\n"
         "\n"
         "verify mode (differential fuzzing against the functional "
         "executor):\n"
@@ -256,6 +242,53 @@ printUsage(std::FILE *to)
         to);
 }
 
+/** Fold shard reports into the unsharded run's report. */
+int
+runMerge(const CliOptions &o)
+{
+    std::vector<std::string> docs;
+    for (const std::string &p : o.mergeInputs) {
+        std::string doc;
+        if (!driver::tryReadFile(p, doc))
+            throw CliError(csprintf("cannot read shard report %s",
+                                    p.c_str()));
+        docs.push_back(std::move(doc));
+    }
+    const std::string merged = driver::mergeReports(docs);
+    if (o.jsonPath.empty())
+        std::fputs(merged.c_str(), stdout);
+    else
+        driver::writeFile(o.jsonPath, merged);
+    return 0;
+}
+
+/** Dump one registry workload as an editable JSONL trace. */
+int
+runTrace(const CliOptions &o)
+{
+    const Program prog = workload::build(o.workloads.front(), o.seed);
+    const std::string doc = trace::toJsonl(prog);
+    // Round-trip guard: what is written must re-ingest as the exact
+    // same program, or the dump is not a usable trace.
+    if (trace::toJsonl(trace::fromJsonl(doc)) != doc) {
+        std::fprintf(stderr, "msp_sim: internal error: trace round-trip "
+                             "mismatch\n");
+        return 2;
+    }
+    if (o.jsonPath.empty()) {
+        std::fputs(doc.c_str(), stdout);
+    } else {
+        driver::writeFile(o.jsonPath, doc);
+        if (!o.quiet) {
+            std::printf("Wrote %s: %zu static instr(s), %zu mem "
+                        "word(s).\n",
+                        o.jsonPath.c_str(), prog.code.size(),
+                        prog.memWords);
+        }
+    }
+    return 0;
+}
+
 /** Dump one resolved machine spec as JSON plus its preset diff. */
 int
 runSpec(const CliOptions &o)
@@ -270,111 +303,6 @@ runSpec(const CliOptions &o)
         std::fputs(json.c_str(), stdout);
     else
         driver::writeFile(o.jsonPath, json);
-    return 0;
-}
-
-/** Simulator-throughput measurement (see driver/bench.hh). */
-int
-runBench(const CliOptions &o)
-{
-    const bool sanitized = sanitizedBuild();
-    if (sanitized) {
-        std::fprintf(stderr,
-                     "msp_sim: warning: sanitized build — timings are "
-                     "not comparable and no report will be written\n");
-    }
-
-    if (o.threads == 1) {
-#ifdef __linux__
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(0, &set);
-        if (sched_setaffinity(0, sizeof set, &set) != 0)
-            std::fprintf(stderr, "msp_sim: warning: could not pin to "
-                                 "CPU 0; timings may be noisier\n");
-#else
-        std::fprintf(stderr, "msp_sim: warning: CPU pinning is not "
-                             "supported on this platform\n");
-#endif
-    }
-
-    BenchOptions b;
-    b.configNames = o.configNames;
-    b.workloads = o.workloads;
-    b.predictor = o.predictor;
-    if (o.instrs)
-        b.instrs = o.instrs;
-    b.reps = o.reps;
-    b.seed = o.seed;
-
-    if (!o.quiet) {
-        std::printf("Throughput bench: %zu config(s) x %u rep(s), "
-                    "%llu instrs/run (%s).\n",
-                    o.configNames.empty() ? 6 : o.configNames.size(),
-                    b.reps,
-                    static_cast<unsigned long long>(b.instrs),
-                    predictorName(o.predictor));
-        std::fflush(stdout);
-    }
-    const BenchReport report = runThroughputBench(
-        b, o.quiet ? BenchProgressFn{}
-                   : [](const std::string &cfg, unsigned rep,
-                        unsigned reps, double wall) {
-                         std::fprintf(stderr, "  [%s %u/%u] %.3f s\n",
-                                      cfg.c_str(), rep, reps, wall);
-                     });
-
-    msp::Table t("Simulator throughput");
-    t.header({"config", "committed", "cycles", "best_wall_s",
-              "MInstr/s", "Mcycles/s"});
-    for (const auto &c : report.configs) {
-        t.row({c.config, std::to_string(c.committed),
-               std::to_string(c.cycles),
-               msp::Table::num(c.bestWallSec(), 3),
-               msp::Table::num(c.minstrPerSec(), 2),
-               msp::Table::num(c.mcyclesPerSec(), 2)});
-    }
-    std::fputs(t.str().c_str(), stdout);
-
-    if (!o.jsonPath.empty() && !sanitized)
-        driver::writeFile(o.jsonPath, benchReportToJson(report));
-
-    if (!o.baselinePath.empty()) {
-        if (sanitized) {
-            std::fprintf(stderr,
-                         "msp_sim: sanitized build — regression gate "
-                         "skipped\n");
-            return 0;
-        }
-        std::string doc;
-        if (!driver::tryReadFile(o.baselinePath, doc)) {
-            std::fprintf(stderr, "msp_sim: cannot read baseline %s\n",
-                         o.baselinePath.c_str());
-            return 2;
-        }
-        const BenchReport base = benchReportFromJson(doc);
-        if (base.host != report.host) {
-            // MInstr/s on a different machine is not a regression
-            // signal; gating on it would fail every contributor whose
-            // laptop differs from the baseline host.
-            std::fprintf(stderr,
-                         "msp_sim: warning: baseline host '%s' differs "
-                         "from this host '%s' — regression gate "
-                         "skipped\n",
-                         base.host.c_str(), report.host.c_str());
-            return 0;
-        }
-        const auto regressions =
-            benchRegressions(base, report, o.gatePct);
-        for (const std::string &r : regressions)
-            std::fprintf(stderr, "msp_sim: throughput regression: %s\n",
-                         r.c_str());
-        if (!regressions.empty())
-            return 1;
-        if (!o.quiet)
-            std::printf("Regression gate passed (threshold %.0f%%).\n",
-                        o.gatePct);
-    }
     return 0;
 }
 
@@ -396,9 +324,40 @@ loadGrid(const CliOptions &o)
     }
 }
 
-std::vector<JobResult>
+/** Write a finished matrix or scenario campaign's reports. */
+int
+writeSimReports(const CliOptions &o, const std::vector<JobResult> &results)
+{
+    if (!o.jsonPath.empty())
+        driver::writeFile(o.jsonPath, driver::toJson(results));
+    if (!o.csvPath.empty())
+        driver::writeFile(o.csvPath, driver::toCsv(results));
+    if (driver::campaignStopRequested()) {
+        std::size_t ran = 0;
+        for (const JobResult &jr : results)
+            ran += jr.ran ? 1 : 0;
+        std::fprintf(stderr,
+                     "msp_sim: interrupted — %zu of %zu job(s) done%s\n",
+                     ran, results.size(),
+                     o.checkpointPath.empty() ? ""
+                                              : "; resume with --resume");
+        return exitInterrupted;
+    }
+    return 0;
+}
+
+int
+runScenarioMode(const CliOptions &o)
+{
+    catchStopSignals();
+    return writeSimReports(
+        o, runScenario(o.mode, o.threads, o.instrs, !o.quiet));
+}
+
+int
 runMatrix(const CliOptions &o)
 {
+    catchStopSignals();
     SimCampaign campaign(o.threads);
     std::string headline;   ///< header sentence, sans the job count
     std::string specDiffs;  ///< non-preset machines, as preset diffs
@@ -490,7 +449,7 @@ runMatrix(const CliOptions &o)
         }
         std::fputs(t.str().c_str(), stdout);
     }
-    return results;
+    return writeSimReports(o, results);
 }
 
 void
@@ -514,9 +473,8 @@ runRepro(const CliOptions &o)
 {
     std::string doc;
     if (!driver::tryReadFile(o.reproPath, doc)) {
-        std::fprintf(stderr, "msp_sim: cannot read repro report %s\n",
-                     o.reproPath.c_str());
-        return 2;
+        throw CliError(csprintf("cannot read repro report %s",
+                                o.reproPath.c_str()));
     }
     std::vector<verify::ReproSpec> specs;
     try {
@@ -702,6 +660,7 @@ runVerify(const CliOptions &o)
         return runRepro(o);
     if (!o.workloads.empty() || !o.gridPath.empty())
         return runVerifyNamed(o);
+    catchStopSignals();
 
     // Machine selection: named presets and/or a --machine spec file,
     // defaulting to the full Table I ladder; --set overrides apply on
@@ -1039,6 +998,26 @@ runVerify(const CliOptions &o)
     return divergences == 0 ? 0 : 1;
 }
 
+/** One runner per mode; any other mode word names a scenario. */
+struct ModeRunner
+{
+    const char *mode;
+    int (*run)(const CliOptions &);
+};
+
+constexpr ModeRunner modeRunners[] = {
+    {"merge", runMerge},   {"spec", runSpec},     {"trace", runTrace},
+    {"matrix", runMatrix}, {"verify", runVerify},
+};
+
+/** A user error found at run time: one line on stderr, exit 2. */
+int
+userError(const std::exception &e)
+{
+    std::fprintf(stderr, "msp_sim: %s\n", e.what());
+    return 2;
+}
+
 } // namespace
 
 int
@@ -1062,172 +1041,28 @@ main(int argc, char **argv)
             std::printf("%-22s %s\n", s.name.c_str(), s.title.c_str());
         return 0;
     }
-    if (o.mode == "merge") {
-        try {
-            std::vector<std::string> docs;
-            for (const std::string &p : o.mergeInputs) {
-                std::string doc;
-                if (!driver::tryReadFile(p, doc)) {
-                    std::fprintf(stderr,
-                                 "msp_sim: cannot read shard report "
-                                 "%s\n", p.c_str());
-                    return 2;
-                }
-                docs.push_back(std::move(doc));
-            }
-            const std::string merged = driver::mergeReports(docs);
-            if (o.jsonPath.empty())
-                std::fputs(merged.c_str(), stdout);
-            else
-                driver::writeFile(o.jsonPath, merged);
-            return 0;
-        } catch (const CheckpointError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            // A shard report with a garbled number must not fold into
-            // the merge as zeros.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
 
-    // Campaign modes run long enough that ^C deserves better than a
-    // lost run: the first signal drains in-flight jobs, flushes the
-    // final checkpoint and writes a partial report (exit 3); the
-    // second force-quits.
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
-
-    if (o.mode == "spec") {
-        try {
-            return runSpec(o);
-        } catch (const CliError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "bench") {
-        try {
-            return runBench(o);
-        } catch (const SpecError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            // A corrupt baseline report must fail the gate run loudly,
-            // not silently pass it.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "trace") {
-        try {
-            const Program prog =
-                workload::build(o.workloads.front(), o.seed);
-            const std::string doc = trace::toJsonl(prog);
-            // Round-trip guard: what is written must re-ingest as the
-            // exact same program, or the dump is not a usable trace.
-            if (trace::toJsonl(trace::fromJsonl(doc)) != doc) {
-                std::fprintf(stderr, "msp_sim: internal error: trace "
-                                     "round-trip mismatch\n");
-                return 2;
-            }
-            if (o.jsonPath.empty()) {
-                std::fputs(doc.c_str(), stdout);
-            } else {
-                driver::writeFile(o.jsonPath, doc);
-                if (!o.quiet) {
-                    std::printf("Wrote %s: %zu static instr(s), "
-                                "%zu mem word(s).\n",
-                                o.jsonPath.c_str(), prog.code.size(),
-                                prog.memWords);
-                }
-            }
-            return 0;
-        } catch (const workload::WorkloadError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const trace::TraceError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-    if (o.mode == "verify") {
-        try {
-            return runVerify(o);
-        } catch (const CliError &e) {
-            // Machine resolution (--machine file errors) happens at
-            // run time, past the grammar check above.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const CheckpointError &e) {
-            // A checkpoint that cannot be resumed (corrupt mid-file,
-            // or from a different campaign) must not silently rerun
-            // from scratch under a flag that promised to resume.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const SpecError &e) {
-            // Corrupt repro / checkpoint payload fields (stream_hash,
-            // embedded program or spec) fail loudly, never replay as
-            // zeros.
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const workload::WorkloadError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const trace::TraceError &e) {
-            // A missing or malformed trace file behind a trace:FILE
-            // workload (or workload.trace grid axis).
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        } catch (const json::JsonError &e) {
-            std::fprintf(stderr, "msp_sim: %s\n", e.what());
-            return 2;
-        }
-    }
-
-    std::vector<JobResult> results;
+    int (*run)(const CliOptions &) = runScenarioMode;
+    for (const ModeRunner &r : modeRunners)
+        if (o.mode == r.mode)
+            run = r.run;
+    // Exit status: 0 success, 1 divergence, 2 user error, 3 interrupted.
+    // Inputs that fail past the grammar check (unreadable or corrupt
+    // machine, grid, trace, checkpoint or report files, bad spec
+    // values) are user errors too.
     try {
-        if (o.mode == "matrix")
-            results = runMatrix(o);
-        else
-            results = runScenario(o.mode, o.threads, o.instrs, !o.quiet);
+        return run(o);
     } catch (const CliError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const CheckpointError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const SpecError &e) {
-        // A grid document that fails spec-level validation (bad axis
-        // value, unknown preset) past the CLI grammar check.
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const workload::WorkloadError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const trace::TraceError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     } catch (const json::JsonError &e) {
-        std::fprintf(stderr, "msp_sim: %s\n", e.what());
-        return 2;
+        return userError(e);
     }
-
-    if (!o.jsonPath.empty())
-        driver::writeFile(o.jsonPath, driver::toJson(results));
-    if (!o.csvPath.empty())
-        driver::writeFile(o.csvPath, driver::toCsv(results));
-    if (driver::campaignStopRequested()) {
-        std::size_t ran = 0;
-        for (const JobResult &jr : results)
-            ran += jr.ran ? 1 : 0;
-        std::fprintf(stderr,
-                     "msp_sim: interrupted — %zu of %zu job(s) done%s\n",
-                     ran, results.size(),
-                     o.checkpointPath.empty() ? ""
-                                              : "; resume with --resume");
-        return exitInterrupted;
-    }
-    return 0;
 }
